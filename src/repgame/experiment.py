@@ -59,7 +59,7 @@ def _fmt(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     return str(value)
 
 

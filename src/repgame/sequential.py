@@ -114,7 +114,6 @@ class BatchTestState:
     buffer_counts: np.ndarray
     batch_index: int = 0
     fired_at_batch: int | None = None
-    last_empirical: np.ndarray | None = None
 
     @classmethod
     def fresh(cls, player: int, num_actions: int, batch_length: int) -> "BatchTestState":
@@ -158,8 +157,7 @@ def batch_update(state: BatchTestState, action: int, w_ref: MixedAction,
     state.buffer_counts[action] += 1
     if int(state.buffer_counts.sum()) < state.batch_length:
         return None
-    empirical, verdict = batch_test(state.buffer_counts, state.batch_length, w_ref, delta)
-    state.last_empirical = empirical.probs
+    _, verdict = batch_test(state.buffer_counts, state.batch_length, w_ref, delta)
     if verdict and state.fired_at_batch is None:
         state.fired_at_batch = state.batch_index
     state.batch_index += 1

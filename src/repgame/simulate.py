@@ -10,9 +10,23 @@ worker count. Monte Carlo modes whose play is stationary-until-punishment
 use vectorized samplers that draw whole action streams (or batch count
 vectors directly from the multinomial) instead of stepping rounds one at a
 time; these are distributionally identical to the episode protocol.
+
+Both paths sample a pure action the same way: with u = rng.random() and the
+K - 1 cumulative edges p_0, p_0 + p_1, ..., p_0 + ... + p_{K-2}, the action
+is the number of edges <= u. Each draw consumes one uniform, so a vector draw
+of n actions equals n successive scalar draws from the same stream.
+
+The e-process scores round t (0-based) by log((c + 1) / (t + K)) - log w_a,
+where a is the observed action and c the number of earlier rounds that
+played a; an action outside the support of w scores +inf. Scores are summed
+in round order, and tau is the number of rounds scored when the sum first
+reaches log(N / gamma) (inclusive >=).
 """
 from __future__ import annotations
 
+import bisect
+import itertools
+import logging
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -42,6 +56,8 @@ from .strategies import (
     batch_ttp_act,
     grim_trigger_act,
 )
+
+logger = logging.getLogger("repgame")
 
 WORKERS_ENV = "REPGAME_WORKERS"
 SURVIVAL_GRID = (1, 10, 100, 1_000, 10_000, 100_000)
@@ -114,15 +130,16 @@ def _stream(seed: int, rep: int, player: int, purpose: int) -> np.random.Generat
 
 
 def _draw_actions(rng: np.random.Generator, probs: np.ndarray, size: int) -> np.ndarray:
-    cum = np.cumsum(probs)
-    cum[-1] = 1.0
-    return np.minimum(
-        np.searchsorted(cum, rng.random(size), side="right"), probs.size - 1
-    ).astype(np.int64)
+    u = rng.random(size)
+    actions = np.zeros(size, dtype=np.int64)
+    for edge in np.cumsum(probs[:-1]):
+        actions += u >= edge
+    return actions
 
 
 def sample_action(rng: np.random.Generator, action: MixedAction) -> int:
-    return int(_draw_actions(rng, action.probs, 1)[0])
+    edges = list(itertools.accumulate(action.probs[:-1].tolist()))
+    return bisect.bisect_right(edges, rng.random())
 
 
 def wilson_interval(successes: int, n: int, z: float = 1.959963984540054):
@@ -140,10 +157,15 @@ def wilson_interval(successes: int, n: int, z: float = 1.959963984540054):
 
 
 def _worker_count() -> int:
+    raw = os.environ.get(WORKERS_ENV, "1")
     try:
-        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
+        workers = int(raw)
     except ValueError:
+        workers = 0
+    if workers < 1:
+        logger.warning("%s=%r is not a positive integer; using 1 worker", WORKERS_ENV, raw)
         return 1
+    return workers
 
 
 def _map_reps(fn, replications: int):
@@ -279,15 +301,15 @@ def _eprocess_log_traj(actions: np.ndarray, w_ref: np.ndarray) -> np.ndarray:
     """Cumulative log e-process over an observed action stream."""
     horizon = actions.size
     num_actions = w_ref.size
-    one_hot = np.zeros((horizon, num_actions))
-    one_hot[np.arange(horizon), actions] = 1.0
-    before = np.cumsum(one_hot, axis=0) - one_hot
-    pred = (before[np.arange(horizon), actions] + 1.0) / (np.arange(horizon) + num_actions)
-    ref = w_ref[actions]
-    logs = np.full(horizon, np.inf)
-    ok = ref > 0.0
-    logs[ok] = np.log(pred[ok]) - np.log(ref[ok])
-    return np.cumsum(logs)
+    # seen[t] = c + 1: how often actions[t] occurs in actions[: t + 1].
+    seen = np.zeros(horizon, dtype=np.int64)
+    for a in range(num_actions):
+        hit = actions == a
+        seen += np.cumsum(hit) * hit
+    with np.errstate(divide="ignore"):
+        log_w = np.log(w_ref)
+    logs = np.log(seen / np.arange(num_actions, horizon + num_actions)) - log_w[actions]
+    return np.cumsum(logs, out=logs)
 
 
 def _eprocess_tau(actions: np.ndarray, w_ref: np.ndarray, log_threshold: float):
@@ -437,13 +459,11 @@ def _batch_rep_payoff(config: EpisodeConfig, rep: int):
     return kappas, onset, payoffs
 
 
-def _base_row(config, mode, rep, variant="baseline"):
-    return {
-        "mode": mode,
-        "variant": variant,
-        "replication": rep,
-        "seed": config.seed,
-    }
+def _base_row(config, mode, rep, onset, taus):
+    row = {"mode": mode, "variant": "baseline", "replication": rep,
+           "seed": config.seed, "punishment_onset": onset}
+    row.update((f"tau_{i}", tau) for i, tau in enumerate(taus))
+    return row
 
 
 def _rate_estimates(successes, n):
@@ -483,11 +503,7 @@ def _mc_type1(config: EpisodeConfig, replications: int) -> MonteCarloReport:
         punished = 0
         for rep, (taus, onset, _) in enumerate(results):
             punished += onset is not None
-            row = _base_row(config, "type1", rep)
-            row["punishment_onset"] = onset
-            for i, tau in enumerate(taus):
-                row[f"tau_{i}"] = tau
-            rows.append(row)
+            rows.append(_base_row(config, "type1", rep, onset, taus))
         rate, interval = _rate_estimates(punished, replications)
         estimates = {"punished_rate_censored": rate, "punished": punished}
         intervals = {"punished_rate_censored": interval}
@@ -498,11 +514,7 @@ def _mc_type1(config: EpisodeConfig, replications: int) -> MonteCarloReport:
             punished += onset is not None and onset <= config.horizon
             rejected_total += rejected
             batches_total += total
-            row = _base_row(config, "type1", rep)
-            row["punishment_onset"] = onset
-            for i, k in enumerate(kappas):
-                row[f"tau_{i}"] = k
-            rows.append(row)
+            rows.append(_base_row(config, "type1", rep, onset, kappas))
         rate, interval = _rate_estimates(punished, replications)
         batch_rate, batch_interval = _rate_estimates(rejected_total, batches_total)
         estimates = {
@@ -541,11 +553,7 @@ def _mc_detection(config: EpisodeConfig, replications: int) -> MonteCarloReport:
     rows, onsets = [], []
     for rep, (taus, onset, _) in enumerate(results):
         onsets.append(onset)
-        row = _base_row(config, "detection", rep)
-        row["punishment_onset"] = onset
-        for i, tau in enumerate(taus):
-            row[f"tau_{i}"] = tau
-        rows.append(row)
+        rows.append(_base_row(config, "detection", rep, onset, taus))
     detected = sum(o is not None for o in onsets)
     censored = np.array(
         [config.horizon if o is None else o for o in onsets], dtype=float
@@ -610,10 +618,7 @@ def _mc_payoff(config: EpisodeConfig, replications: int) -> MonteCarloReport:
     rows, payoff_matrix = [], np.empty((replications, n))
     for rep, (taus, onset, payoffs) in enumerate(payoff_rows):
         payoff_matrix[rep] = payoffs
-        row = _base_row(config, "payoff", rep)
-        row["punishment_onset"] = onset
-        for i, tau in enumerate(taus):
-            row[f"tau_{i}"] = tau
+        row = _base_row(config, "payoff", rep, onset, taus)
         for i in range(n):
             row[f"payoff_{i}"] = payoffs[i]
         rows.append(row)
@@ -723,11 +728,7 @@ def _mc_wrongful_curve(config: EpisodeConfig, replications: int) -> MonteCarloRe
     rows = []
     for rep, (kappas, kappa, onset, _, _) in enumerate(results):
         onsets.append(onset if onset is not None else math.inf)
-        row = _base_row(config, "wrongful_curve", rep)
-        row["punishment_onset"] = onset
-        for i, k in enumerate(kappas):
-            row[f"tau_{i}"] = k
-        rows.append(row)
+        rows.append(_base_row(config, "wrongful_curve", rep, onset, kappas))
     onsets = np.array(onsets)
     curve = []
     for h in horizons:

@@ -124,6 +124,17 @@ class TestRunExperiment:
         # No rejection before T must serialize as an empty cell, never as T.
         assert "2000" not in values
 
+    def test_payoff_cells_parse_as_floats(self, tmp_path):
+        run_experiment(write_spec(tmp_path, base_spec(mode="payoff", replications=5)))
+        rows = (tmp_path / "out" / "rows.csv").read_text().splitlines()
+        header = rows[0].split(",")
+        payoff_cols = [i for i, name in enumerate(header) if name.startswith("payoff_")]
+        assert payoff_cols
+        for line in rows[1:]:
+            cells = line.split(",")
+            for i in payoff_cols:
+                float(cells[i])
+
     def test_assertion_failure_exits_2(self, tmp_path):
         # The payoff sandwich holds for cooperative play only; a defecting
         # player is detected immediately (out-of-support action) and lands

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -18,6 +19,14 @@ from repgame import (
     run_episode,
     solve_bimatrix_nash,
     wilson_interval,
+)
+from repgame.sequential import EProcessState, anytime_verdict, eprocess_update
+from repgame.simulate import (
+    _draw_actions,
+    _eprocess_log_traj,
+    _eprocess_tau,
+    _worker_count,
+    sample_action,
 )
 
 PD = StageGame(2, (2, 2), ([[0.6, 0.0], [1.0, 0.2]], [[0.6, 1.0], [0.0, 0.2]]))
@@ -259,6 +268,99 @@ class TestMonteCarlo:
         fracs = [p["punished_fraction"] for p in report.estimates["curve"]]
         assert fracs == sorted(fracs)
         assert report.estimates["curve"][0]["analytic_lower_bound"] is not None
+
+
+def one_hot_log_traj(actions, w_ref):
+    """Reference e-process: (T, K) one-hot counts, masked for w_ref == 0."""
+    horizon, num_actions = actions.size, w_ref.size
+    one_hot = np.zeros((horizon, num_actions))
+    one_hot[np.arange(horizon), actions] = 1.0
+    before = np.cumsum(one_hot, axis=0) - one_hot
+    pred = (before[np.arange(horizon), actions] + 1.0) / (np.arange(horizon) + num_actions)
+    ref = w_ref[actions]
+    logs = np.full(horizon, np.inf)
+    ok = ref > 0.0
+    logs[ok] = np.log(pred[ok]) - np.log(ref[ok])
+    return np.cumsum(logs)
+
+
+def seeded_streams():
+    """(actions, w_ref) pairs for K in {2, 3, 4}; some w_ref have a zero entry."""
+    out = []
+    for seed in range(12):
+        rng = np.random.default_rng([7, seed])
+        num_actions = 2 + seed % 3
+        w_ref = rng.dirichlet(np.ones(num_actions))
+        if seed % 4 == 3:
+            w_ref[seed % num_actions] = 0.0
+            w_ref /= w_ref.sum()
+        w_ref = MixedAction(w_ref).probs
+        play = rng.dirichlet(np.ones(num_actions))
+        out.append((_draw_actions(rng, play, 3000), w_ref))
+    return out
+
+
+class TestStreamKernels:
+    def test_eprocess_matches_one_hot_reference(self):
+        zero_refs = 0
+        for actions, w_ref in seeded_streams():
+            assert np.array_equal(
+                _eprocess_log_traj(actions, w_ref), one_hot_log_traj(actions, w_ref)
+            )
+            zero_refs += bool(np.any(w_ref[actions] == 0.0))
+        assert zero_refs > 0  # the +inf path is exercised
+
+    @pytest.mark.parametrize(
+        "probs", [[0.5, 0.5], [0.9, 0.1], [1, 0], [0, 1], [0.2, 0.3, 0.5],
+                  [0.1, 0.0, 0.4, 0.5]],
+    )
+    def test_vector_draws_equal_scalar_draws(self, probs):
+        action = MixedAction(probs)
+        vector = _draw_actions(np.random.default_rng(11), action.probs, 500)
+        rng = np.random.default_rng(11)
+        scalar = [sample_action(rng, action) for _ in range(500)]
+        assert vector.dtype == np.int64
+        assert vector.tolist() == scalar
+        assert set(scalar) == {a for a, p in enumerate(action.probs) if p > 0}
+
+    def test_scalar_fold_crosses_at_vector_tau(self):
+        gamma, num_players = 0.05, 2
+        threshold = math.log(num_players) - math.log(gamma)
+        crossings = []
+        for actions, w_ref in seeded_streams():
+            state = EProcessState.fresh(0, w_ref.size)
+            for a in actions:
+                eprocess_update(state, int(a), MixedAction(w_ref))
+                if anytime_verdict(state, gamma, num_players):
+                    break
+            assert state.fired_at == _eprocess_tau(actions, w_ref, threshold)
+            crossings.append(state.fired_at)
+        assert None in crossings and any(c is not None for c in crossings)
+
+    @pytest.mark.parametrize("enforcement", ["anytime", "batch"])
+    @pytest.mark.parametrize("deviations", [{}, {0: Stationary([0.6, 0.4])}])
+    def test_episode_onset_matches_monte_carlo_row(self, enforcement, deviations):
+        extra = {"gamma": None, "delta": 0.3, "batch_length": 50} \
+            if enforcement == "batch" else {}
+        cfg = config(enforcement=enforcement, horizon=400, seed=9,
+                     deviations=deviations, **extra)
+        rows = monte_carlo(cfg, "payoff", 6).rows
+        for rep, row in enumerate(rows):
+            assert run_episode(cfg, rep).punishment_onset == row["punishment_onset"]
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-3", ""])
+    def test_invalid_worker_count_warns(self, monkeypatch, caplog, raw):
+        monkeypatch.setenv("REPGAME_WORKERS", raw)
+        with caplog.at_level(logging.WARNING, logger="repgame"):
+            assert _worker_count() == 1
+        assert len(caplog.records) == 1
+        assert "REPGAME_WORKERS" in caplog.records[0].getMessage()
+
+    def test_valid_worker_count_is_silent(self, monkeypatch, caplog):
+        monkeypatch.setenv("REPGAME_WORKERS", "3")
+        with caplog.at_level(logging.WARNING, logger="repgame"):
+            assert _worker_count() == 3
+        assert not caplog.records
 
 
 class TestExactOracle:
