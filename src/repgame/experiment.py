@@ -118,44 +118,36 @@ def _resolve_target(doc: dict, game: StageGame) -> PayoffTarget:
         raise SpecError(f"invalid target: {exc}") from exc
 
 
+# Spec fields of each enforcement kind, with their types.
+_ENFORCEMENT_FIELDS = {
+    "anytime": {"gamma": float},
+    "batch": {"delta": float, "batch_length": int},
+    "batch_tuned": {"epsilon": float},
+    "grim": {},
+}
+
+
 def _resolve_enforcement(doc: dict) -> dict:
     spec = doc["enforcement"]
     kind = spec.get("kind")
-    if kind == "anytime":
-        return {"kind": "anytime", "gamma": float(_require(spec, "gamma"))}
-    if kind == "batch":
-        return {
-            "kind": "batch",
-            "delta": float(_require(spec, "delta")),
-            "batch_length": int(_require(spec, "batch_length")),
-        }
-    if kind == "batch_tuned":
-        return {"kind": "batch_tuned", "epsilon": float(_require(spec, "epsilon"))}
-    if kind == "grim":
-        return {"kind": "grim"}
-    raise SpecError(f"unknown enforcement kind {kind!r}")
+    if kind not in _ENFORCEMENT_FIELDS:
+        raise SpecError(f"unknown enforcement kind {kind!r}")
+    fields = _ENFORCEMENT_FIELDS[kind].items()
+    return {"kind": kind, **{name: cast(_require(spec, name)) for name, cast in fields}}
 
 
 def _build_strategy(entry: dict, game: StageGame, target: PayoffTarget,
                     enforcement: dict):
-    kind = entry.get("kind")
-    player = int(entry.get("player", 0))
-    params = {"game": game, "target": target, "player": player}
-    if kind == "stationary":
-        params = {"probs": _require(entry, "probs")}
-    elif kind == "small_ball":
-        params["epsilon"] = float(_require(entry, "epsilon"))
-        params["direction"] = entry.get("direction")
-    elif kind == "batch_adversarial":
-        params["batch_length"] = int(
-            entry.get("batch_length", enforcement.get("batch_length", 0))
-        )
-        params["delta"] = float(entry.get("delta", enforcement.get("delta", 0.0)))
-    else:
-        raise SpecError(f"unknown deviation kind {kind!r}")
+    if not isinstance(entry, dict):
+        raise SpecError(f"deviation entry must be an object, got {entry!r}")
+    params = {"player": 0, **entry, "game": game, "target": target,
+              "enforcement": enforcement}
     try:
-        return player, make_deviation(kind, params)
-    except (ConfigurationError, GameError, KeyError) as exc:
+        player = int(params["player"])
+        if not 0 <= player < game.num_players:
+            raise ConfigurationError(f"player {player} out of range")
+        return player, make_deviation(entry.get("kind"), params)
+    except (ConfigurationError, GameError, TypeError, ValueError) as exc:
         raise SpecError(f"invalid deviation {entry!r}: {exc}") from exc
 
 
@@ -290,14 +282,16 @@ def evaluate_assertions(doc: dict, config: EpisodeConfig, enforcement: dict,
         se = report.estimates["payoff_se"]
         cert = report.truncation_certificate
         for i in range(config.game.num_players):
-            ok = (lower[i] - 3.0 * se[i] <= mean[i] <= upper[i] + 3.0 * se[i] + cert)
+            # Stage payoffs lie in [0, 1], so truncating at T lowers the
+            # mean by at most beta^T: the certificate widens the lower side.
+            ok = (lower[i] - 3.0 * se[i] - cert <= mean[i] <= upper[i] + 3.0 * se[i])
             out.append(
                 _assertion(
                     f"payoff_sandwich_player_{i}",
                     "pass" if ok else "fail",
                     mean[i],
                     [lower[i], upper[i]],
-                    note="bounds widened by 3 SE (+ truncation certificate above)",
+                    note="bounds widened by 3 SE (- truncation certificate below)",
                 )
             )
     elif report.mode == "gap":

@@ -21,6 +21,15 @@ where a is the observed action and c the number of earlier rounds that
 played a; an action outside the support of w scores +inf. Scores are summed
 in round order, and tau is the number of rounds scored when the sum first
 reaches log(N / gamma) (inclusive >=).
+
+Each enforcement kind (anytime, batch, grim, none) is one class in the
+``_KINDS`` table. An instance is the episode's enforcement: it holds the
+test state every player shares and reports when punishment starts, so
+``run_episode`` fixes the punishment onset once and cooperators switch from
+the cooperative to the punishment profile there. The per-player strategies
+in ``repgame.strategies`` (``anytime_ttp_act``, ``batch_ttp_act``,
+``grim_trigger_act``) remain the reference definitions that the episode
+loop is tested against.
 """
 from __future__ import annotations
 
@@ -30,7 +39,7 @@ import logging
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -50,12 +59,7 @@ from .sequential import (
     batch_update,
     eprocess_update,
 )
-from .strategies import (
-    PublicHistory,
-    anytime_ttp_act,
-    batch_ttp_act,
-    grim_trigger_act,
-)
+from .strategies import PublicHistory
 
 logger = logging.getLogger("repgame")
 
@@ -89,12 +93,14 @@ class EpisodeConfig:
             raise GameError("horizon must be >= 1")
         if self.monitoring not in ("imperfect", "perfect"):
             raise GameError(f"unknown monitoring mode {self.monitoring!r}")
-        if self.enforcement not in ("anytime", "batch", "grim", "none"):
+        kind = _KINDS.get(self.enforcement)
+        if kind is None:
             raise GameError(f"unknown enforcement kind {self.enforcement!r}")
-        if self.enforcement == "anytime" and self.gamma is None:
-            raise GameError("anytime enforcement needs gamma")
-        if self.enforcement == "batch" and (self.delta is None or self.batch_length is None):
-            raise GameError("batch enforcement needs delta and batch_length")
+        if any(getattr(self, name) is None for name in kind.needs):
+            needs = " and ".join(kind.needs)
+            raise GameError(f"{self.enforcement} enforcement needs {needs}")
+        if kind.monitoring not in (None, self.monitoring):
+            raise GameError(f"{self.enforcement} enforcement needs {kind.monitoring} monitoring")
         if self.payoff_accounting is None:
             self.payoff_accounting = "expected" if self.monitoring == "perfect" else "realized"
 
@@ -181,100 +187,174 @@ def _map_reps(fn, replications: int):
 
 
 # ---------------------------------------------------------------------------
-# Episode loop (reference implementation, any strategy mix)
+# Enforcement kinds
 # ---------------------------------------------------------------------------
 
 
-def _cooperator_action(config: EpisodeConfig, tests, history, player: int, t: int):
-    if config.enforcement == "grim":
-        return grim_trigger_act(history, config.target, player)
-    if config.enforcement == "anytime":
-        return anytime_ttp_act(tests, config.target, player, t=t)
-    if config.enforcement == "batch":
-        return batch_ttp_act(tests, config.target, player, t)
-    return config.target.cooperative[player]
+class _Enforcement:
+    """One episode's enforcement and its shared test state; this base is kind ``none``.
+
+    ``observe(t, record)`` folds in round t's public record (the realized
+    joint action, or the mixed profile under perfect monitoring) and returns
+    True once punishment applies from round t + 1. Class attributes give the
+    monitoring the kind needs (None: either), its required EpisodeConfig
+    fields and the Monte Carlo modes it supports.
+    """
+
+    monitoring = None
+    needs = ()
+    modes = frozenset()
+
+    def __init__(self, config: EpisodeConfig):
+        self.config = config
+
+    def observe(self, t: int, record) -> bool:
+        return False
+
+    def rejection_times(self) -> list:
+        return [None] * self.config.game.num_players
 
 
-def _currently_punishing(config: EpisodeConfig, tests, history, t: int) -> bool:
-    if config.enforcement == "grim":
-        return any(
-            not joint.close_to(config.target.cooperative) for joint in history.rounds
+class _Anytime(_Enforcement):
+    """One plug-in e-process per player; rejection time tau in rounds."""
+
+    monitoring = "imperfect"
+    needs = ("gamma",)
+    modes = frozenset({"type1", "detection", "payoff", "gap"})
+
+    def __init__(self, config: EpisodeConfig):
+        super().__init__(config)
+        self.tests = [
+            EProcessState.fresh(i, k) for i, k in enumerate(config.game.action_counts)
+        ]
+
+    def observe(self, t: int, record) -> bool:
+        cooperative, n = self.config.target.cooperative, len(self.tests)
+        for i, state in enumerate(self.tests):
+            eprocess_update(state, record[i], cooperative[i], expected_t=t)
+            anytime_verdict(state, self.config.gamma, n)
+        return any(s.fired_at is not None for s in self.tests)
+
+    def rejection_times(self) -> list:
+        return [s.fired_at for s in self.tests]
+
+    @staticmethod
+    def type1_rep(config: EpisodeConfig, rep: int):
+        return _anytime_rep(config, rep, want_payoffs=False)
+
+    @staticmethod
+    def payoff_rep(config: EpisodeConfig, rep: int):
+        return _anytime_rep(config, rep, want_payoffs=True)
+
+    @staticmethod
+    def payoff_lower_bound(config: EpisodeConfig):
+        return (1.0 - config.gamma) * config.target.v
+
+
+class _Batch(_Enforcement):
+    """One L1 batch test per player; rejection time kappa in batches.
+
+    A rejection at batch kappa punishes from the first round of batch
+    kappa + 1, which is the round after the rejected batch completes.
+    """
+
+    monitoring = "imperfect"
+    needs = ("delta", "batch_length")
+    modes = frozenset({"type1", "payoff", "wrongful_curve"})
+
+    def __init__(self, config: EpisodeConfig):
+        super().__init__(config)
+        self.tests = [
+            BatchTestState.fresh(i, k, config.batch_length)
+            for i, k in enumerate(config.game.action_counts)
+        ]
+
+    def observe(self, t: int, record) -> bool:
+        cooperative = self.config.target.cooperative
+        for i, state in enumerate(self.tests):
+            batch_update(state, record[i], cooperative[i], self.config.delta)
+        return any(s.fired_at_batch is not None for s in self.tests)
+
+    def rejection_times(self) -> list:
+        return [s.fired_at_batch for s in self.tests]
+
+    @staticmethod
+    def type1_rep(config: EpisodeConfig, rep: int):
+        kappas, _, onset, rejected, total = _batch_rep_counts(config, rep)
+        return kappas, onset, (rejected, total)
+
+    @staticmethod
+    def payoff_rep(config: EpisodeConfig, rep: int):
+        return _batch_rep_payoff(config, rep)
+
+    @staticmethod
+    def payoff_lower_bound(config: EpisodeConfig):
+        p_l, _, _ = batch_error_bounds(
+            config.game.max_action_count,
+            config.game.num_players,
+            config.batch_length,
+            config.delta,
+            config.beta,
         )
-    if config.enforcement == "anytime":
-        return any(s.fired_at is not None for s in tests)
-    if config.enforcement == "batch":
-        k_t = t // config.batch_length
-        return k_t >= 1 and any(
-            s.fired_at_batch is not None and s.fired_at_batch <= k_t - 1 for s in tests
-        )
-    return False
+        beta_l = config.beta**config.batch_length
+        return beta_l * (1.0 - p_l / (1.0 - beta_l)) * config.target.v
+
+
+class _Grim(_Enforcement):
+    """Punish forever after the first joint profile off the cooperative one."""
+
+    monitoring = "perfect"
+    on_path = True
+
+    def observe(self, t: int, record) -> bool:
+        self.on_path = record.close_to(self.config.target.cooperative) and self.on_path
+        return not self.on_path
+
+
+_KINDS = {"anytime": _Anytime, "batch": _Batch, "grim": _Grim, "none": _Enforcement}
+
+
+# ---------------------------------------------------------------------------
+# Episode loop (reference implementation, any strategy mix)
+# ---------------------------------------------------------------------------
 
 
 def run_episode(config: EpisodeConfig, replication: int = 0) -> Trajectory:
     """Play one episode round by round; fully deterministic given the seed."""
     game, target = config.game, config.target
     n = game.num_players
+    enforcement = _KINDS[config.enforcement](config)
     history = PublicHistory(mode=config.monitoring)
-    tests = []
-    if config.monitoring == "imperfect":
-        if config.enforcement == "anytime":
-            tests = [EProcessState.fresh(i, game.action_counts[i]) for i in range(n)]
-        elif config.enforcement == "batch":
-            tests = [
-                BatchTestState.fresh(i, game.action_counts[i], config.batch_length)
-                for i in range(n)
-            ]
     rngs = [_stream(config.seed, replication, i, 0) for i in range(n)]
     stage_payoffs = np.empty((config.horizon, n))
     actions_log = []
     punishment_onset = None
 
     for t in range(config.horizon):
-        if punishment_onset is None and _currently_punishing(config, tests, history, t):
-            punishment_onset = t
-        mixed = []
-        for i in range(n):
-            if i in config.deviations:
-                mixed.append(config.deviations[i].act(history, t))
-            else:
-                mixed.append(_cooperator_action(config, tests, history, i, t))
+        plan = target.cooperative if punishment_onset is None else target.punishment
+        mixed = [
+            config.deviations[i].act(history, t) if i in config.deviations else plan[i]
+            for i in range(n)
+        ]
         profile = MixedProfile(tuple(mixed))
-        if config.monitoring == "perfect":
-            actions_log.append(profile)
-            history.append(profile)
-            if config.payoff_accounting == "expected":
-                stage_payoffs[t] = expected_utility(game, profile)
-            else:
-                joint = tuple(sample_action(rngs[i], mixed[i]) for i in range(n))
-                stage_payoffs[t] = game.payoff(joint)
+        if config.monitoring == "perfect" and config.payoff_accounting == "expected":
+            stage_payoffs[t] = expected_utility(game, profile)
         else:
             joint = tuple(sample_action(rngs[i], mixed[i]) for i in range(n))
-            actions_log.append(joint)
             stage_payoffs[t] = game.payoff(joint)
-            history.append(joint)
-            for i in range(n):
-                if config.enforcement == "anytime":
-                    eprocess_update(tests[i], joint[i], target.cooperative[i], expected_t=t)
-                    anytime_verdict(tests[i], config.gamma, n)
-                elif config.enforcement == "batch":
-                    batch_update(tests[i], joint[i], target.cooperative[i], config.delta)
+        # Perfect monitoring makes the mixed profile public, else the draws.
+        record = profile if config.monitoring == "perfect" else joint
+        actions_log.append(record)
+        history.append(record)
+        if enforcement.observe(t, record) and punishment_onset is None:
+            punishment_onset = t + 1
 
-    if punishment_onset is None and _currently_punishing(
-        config, tests, history, config.horizon
-    ):
-        punishment_onset = config.horizon
-    if config.enforcement == "anytime":
-        rejection_times = [s.fired_at for s in tests]
-    elif config.enforcement == "batch":
-        rejection_times = [s.fired_at_batch for s in tests]
-    else:
-        rejection_times = [None] * n
     return Trajectory(
         monitoring=config.monitoring,
         actions=actions_log,
         stage_payoffs=stage_payoffs,
         punishment_onset=punishment_onset,
-        rejection_times=rejection_times,
+        rejection_times=enforcement.rejection_times(),
     )
 
 
@@ -338,21 +418,26 @@ def _batch_kappa(counts: np.ndarray, w_ref: np.ndarray, delta: float):
     return kappa, verdicts
 
 
-def _stationary_profile(config: EpisodeConfig) -> list:
-    """Pre-punishment mixed action per player; requires stationary deviators."""
-    out = []
-    for i in range(config.game.num_players):
-        if i in config.deviations:
-            dev = config.deviations[i]
-            if not hasattr(dev, "action"):
-                raise GameError(
-                    "vectorized Monte Carlo needs stationary deviations; "
-                    "use run_episode for adaptive strategies"
-                )
-            out.append(dev.action.probs)
-        else:
-            out.append(config.target.cooperative[i].probs)
-    return out
+def _pre_punishment_actions(config: EpisodeConfig, rep: int, player: int) -> np.ndarray:
+    """A player's actions until punishment, for the vectorized samplers.
+
+    A batch-scheduled deviator repeats its schedule; every other player draws
+    from a stationary mixed action (the deviator's, or the cooperative one).
+    """
+    dev = config.deviations.get(player)
+    schedule = getattr(dev, "schedule", None)
+    if schedule is not None:
+        return np.resize(schedule, config.horizon)
+    if dev is None:
+        probs = config.target.cooperative[player].probs
+    elif hasattr(dev, "action"):
+        probs = dev.action.probs
+    else:
+        raise GameError(
+            "vectorized Monte Carlo needs stationary or batch-scheduled deviations; "
+            "use run_episode for adaptive strategies"
+        )
+    return _draw_actions(_stream(config.seed, rep, player, 0), probs, config.horizon)
 
 
 def _joint_stage_payoffs(game: StageGame, streams: list) -> np.ndarray:
@@ -389,15 +474,11 @@ def _spliced_payoff(config: EpisodeConfig, rep: int, streams: list, onset):
 
 
 def _anytime_rep(config: EpisodeConfig, rep: int, want_payoffs: bool):
-    game = config.game
-    n = game.num_players
+    n = config.game.num_players
     threshold = math.log(n) - math.log(config.gamma)
-    profile = _stationary_profile(config)
     streams, taus = [], []
     for i in range(n):
-        actions = _draw_actions(
-            _stream(config.seed, rep, i, 0), profile[i], config.horizon
-        )
+        actions = _pre_punishment_actions(config, rep, i)
         streams.append(actions)
         taus.append(
             _eprocess_tau(actions, config.target.cooperative[i].probs, threshold)
@@ -412,10 +493,9 @@ def _anytime_rep(config: EpisodeConfig, rep: int, want_payoffs: bool):
 
 def _batch_rep_counts(config: EpisodeConfig, rep: int):
     """Batch verdicts under cooperation, sampling batch counts directly."""
-    game = config.game
     num_batches = config.horizon // config.batch_length
     kappas, rejected, total = [], 0, 0
-    for i in range(game.num_players):
+    for i in range(config.game.num_players):
         w = config.target.cooperative[i].probs
         rng = _stream(config.seed, rep, i, 0)
         counts = rng.multinomial(config.batch_length, w, size=num_batches)
@@ -430,24 +510,11 @@ def _batch_rep_counts(config: EpisodeConfig, rep: int):
 
 
 def _batch_rep_payoff(config: EpisodeConfig, rep: int):
-    """Realized batch-enforcement episode with stationary deviators."""
+    """Realized batch-enforcement episode with stationary or scheduled deviators."""
     game = config.game
-    n = game.num_players
-    profile = _stationary_profile(config)
     streams, kappas = [], []
-    schedules = {
-        i: dev.schedule
-        for i, dev in config.deviations.items()
-        if getattr(dev, "schedule", None) is not None
-    }
-    for i in range(n):
-        if i in schedules:
-            reps_needed = -(-config.horizon // config.batch_length)
-            actions = np.tile(schedules[i], reps_needed)[: config.horizon]
-        else:
-            actions = _draw_actions(
-                _stream(config.seed, rep, i, 0), profile[i], config.horizon
-            )
+    for i in range(game.num_players):
+        actions = _pre_punishment_actions(config, rep, i)
         streams.append(actions)
         counts = _batch_counts(actions, config.batch_length, game.action_counts[i])
         kappa, _ = _batch_kappa(counts, config.target.cooperative[i].probs, config.delta)
@@ -466,9 +533,23 @@ def _base_row(config, mode, rep, onset, taus):
     return row
 
 
+def _report(config, mode, replications, rows, estimates, intervals,
+            survival=None, extras=None) -> MonteCarloReport:
+    return MonteCarloReport(
+        mode=mode,
+        replications=replications,
+        base_seed=config.seed,
+        estimates=estimates,
+        intervals=intervals,
+        survival=survival,
+        truncation_certificate=config.beta**config.horizon,
+        rows=rows,
+        extras=extras or {},
+    )
+
+
 def _rate_estimates(successes, n):
-    low, high = wilson_interval(successes, n)
-    return successes / n, (low, high)
+    return successes / n, wilson_interval(successes, n)
 
 
 def monte_carlo(config: EpisodeConfig, mode: str, replications: int) -> MonteCarloReport:
@@ -491,60 +572,33 @@ def monte_carlo(config: EpisodeConfig, mode: str, replications: int) -> MonteCar
     }
     if mode not in dispatch:
         raise GameError(f"unknown Monte Carlo mode {mode!r}")
-    return dispatch[mode](config, replications)
+    kind = _KINDS[config.enforcement]
+    if mode not in kind.modes:
+        raise GameError(f"{mode} mode is not defined for {config.enforcement} enforcement")
+    return dispatch[mode](config, kind, replications)
 
 
-def _mc_type1(config: EpisodeConfig, replications: int) -> MonteCarloReport:
-    rows = []
-    if config.enforcement == "anytime":
-        results = _map_reps(
-            lambda rep: _anytime_rep(config, rep, want_payoffs=False), replications
-        )
-        punished = 0
-        for rep, (taus, onset, _) in enumerate(results):
-            punished += onset is not None
-            rows.append(_base_row(config, "type1", rep, onset, taus))
-        rate, interval = _rate_estimates(punished, replications)
-        estimates = {"punished_rate_censored": rate, "punished": punished}
-        intervals = {"punished_rate_censored": interval}
-    elif config.enforcement == "batch":
-        results = _map_reps(lambda rep: _batch_rep_counts(config, rep), replications)
-        punished = rejected_total = batches_total = 0
-        for rep, (kappas, kappa, onset, rejected, total) in enumerate(results):
-            punished += onset is not None and onset <= config.horizon
-            rejected_total += rejected
-            batches_total += total
-            rows.append(_base_row(config, "type1", rep, onset, kappas))
-        rate, interval = _rate_estimates(punished, replications)
-        batch_rate, batch_interval = _rate_estimates(rejected_total, batches_total)
-        estimates = {
-            "punished_rate_censored": rate,
-            "punished": punished,
-            "per_batch_rejection_rate": batch_rate,
-            "rejected_batches": rejected_total,
-            "cooperative_batches": batches_total,
-        }
-        intervals = {
-            "punished_rate_censored": interval,
-            "per_batch_rejection_rate": batch_interval,
-        }
-    else:
-        raise GameError("type1 mode needs anytime or batch enforcement")
-    return MonteCarloReport(
-        mode="type1",
-        replications=replications,
-        base_seed=config.seed,
-        estimates=estimates,
-        intervals=intervals,
-        survival=None,
-        truncation_certificate=config.beta**config.horizon,
-        rows=rows,
-    )
+def _mc_type1(config: EpisodeConfig, kind, replications: int) -> MonteCarloReport:
+    results = _map_reps(lambda rep: kind.type1_rep(config, rep), replications)
+    rows, punished = [], 0
+    for rep, (taus, onset, _) in enumerate(results):
+        punished += onset is not None and onset <= config.horizon
+        rows.append(_base_row(config, "type1", rep, onset, taus))
+    rate, interval = _rate_estimates(punished, replications)
+    estimates = {"punished_rate_censored": rate, "punished": punished}
+    intervals = {"punished_rate_censored": interval}
+    # The batch kind's third item counts (rejected, tested) batches; anytime's is None.
+    tallies = [tally for _, _, tally in results if tally is not None]
+    if tallies:
+        rejected, total = (sum(column) for column in zip(*tallies))
+        batch_rate, batch_interval = _rate_estimates(rejected, total)
+        estimates.update(per_batch_rejection_rate=batch_rate, rejected_batches=rejected,
+                         cooperative_batches=total)
+        intervals["per_batch_rejection_rate"] = batch_interval
+    return _report(config, "type1", replications, rows, estimates, intervals)
 
 
-def _mc_detection(config: EpisodeConfig, replications: int) -> MonteCarloReport:
-    if config.enforcement != "anytime":
-        raise GameError("detection mode is defined for anytime enforcement")
+def _mc_detection(config: EpisodeConfig, kind, replications: int) -> MonteCarloReport:
     if not config.deviations:
         raise GameError("detection mode needs at least one declared deviation")
     results = _map_reps(
@@ -562,6 +616,7 @@ def _mc_detection(config: EpisodeConfig, replications: int) -> MonteCarloReport:
     grid = [t for t in SURVIVAL_GRID if t <= config.horizon]
     survival = [(t, float(np.mean(censored >= t))) for t in grid]
     mean_tau = float(censored.mean())
+    half_width = 1.96 * censored.std(ddof=1) / math.sqrt(replications)
     estimates = {
         "detected_rate": rate,
         "mean_tau_censored": mean_tau,
@@ -570,193 +625,96 @@ def _mc_detection(config: EpisodeConfig, replications: int) -> MonteCarloReport:
     }
     intervals = {
         "detected_rate": interval,
-        "mean_tau_censored": (
-            mean_tau - 1.96 * censored.std(ddof=1) / math.sqrt(replications),
-            mean_tau + 1.96 * censored.std(ddof=1) / math.sqrt(replications),
-        ),
+        "mean_tau_censored": (mean_tau - half_width, mean_tau + half_width),
     }
-    return MonteCarloReport(
-        mode="detection",
-        replications=replications,
-        base_seed=config.seed,
-        estimates=estimates,
-        intervals=intervals,
-        survival=survival,
-        truncation_certificate=config.beta**config.horizon,
-        rows=rows,
-    )
+    return _report(config, "detection", replications, rows, estimates, intervals,
+                   survival=survival)
 
 
-def _payoff_bounds(config: EpisodeConfig) -> dict:
-    v = config.target.v
-    if config.enforcement == "anytime":
-        lower = (1.0 - config.gamma) * v
-    else:
-        p_l, _, _ = batch_error_bounds(
-            config.game.max_action_count,
-            config.game.num_players,
-            config.batch_length,
-            config.delta,
-            config.beta,
-        )
-        beta_l = config.beta**config.batch_length
-        lower = beta_l * (1.0 - p_l / (1.0 - beta_l)) * v
-    return {"lower": lower, "upper": v}
-
-
-def _mc_payoff(config: EpisodeConfig, replications: int) -> MonteCarloReport:
-    if config.enforcement == "anytime":
-        results = _map_reps(
-            lambda rep: _anytime_rep(config, rep, want_payoffs=True), replications
-        )
-        payoff_rows = [(taus, onset, payoffs) for taus, onset, payoffs in results]
-    elif config.enforcement == "batch":
-        payoff_rows = _map_reps(lambda rep: _batch_rep_payoff(config, rep), replications)
-    else:
-        raise GameError("payoff mode needs anytime or batch enforcement")
+def _mc_payoff(config: EpisodeConfig, kind, replications: int) -> MonteCarloReport:
+    payoff_rows = _map_reps(lambda rep: kind.payoff_rep(config, rep), replications)
     n = config.game.num_players
     rows, payoff_matrix = [], np.empty((replications, n))
     for rep, (taus, onset, payoffs) in enumerate(payoff_rows):
         payoff_matrix[rep] = payoffs
         row = _base_row(config, "payoff", rep, onset, taus)
-        for i in range(n):
-            row[f"payoff_{i}"] = payoffs[i]
+        row.update((f"payoff_{i}", payoff) for i, payoff in enumerate(payoffs))
         rows.append(row)
     mean = payoff_matrix.mean(axis=0)
     se = payoff_matrix.std(axis=0, ddof=1) / math.sqrt(replications)
-    bounds = _payoff_bounds(config)
     estimates = {"mean_payoff": mean.tolist(), "payoff_se": se.tolist()}
     intervals = {
         "mean_payoff": [(m - 1.96 * s, m + 1.96 * s) for m, s in zip(mean, se)]
     }
-    return MonteCarloReport(
-        mode="payoff",
-        replications=replications,
-        base_seed=config.seed,
-        estimates=estimates,
-        intervals=intervals,
-        survival=None,
-        truncation_certificate=config.beta**config.horizon,
-        rows=rows,
-        extras={
-            "theoretical_lower": bounds["lower"].tolist(),
-            "theoretical_upper": bounds["upper"].tolist(),
-        },
-    )
+    extras = {
+        "theoretical_lower": kind.payoff_lower_bound(config).tolist(),
+        "theoretical_upper": config.target.v.tolist(),
+    }
+    return _report(config, "payoff", replications, rows, estimates, intervals, extras=extras)
 
 
-def _mc_gap(config: EpisodeConfig, replications: int) -> MonteCarloReport:
+def _mc_gap(config: EpisodeConfig, kind, replications: int) -> MonteCarloReport:
     """Max estimated deviation gain over the configured family.
 
     An explicit under-approximation of the sup over all strategies: only the
     configured finite family is searched.
     """
-    if config.enforcement != "anytime":
-        raise GameError("gap mode is implemented for anytime enforcement")
     if not config.gap_family:
         raise GameError("gap mode needs a configured deviation family")
-    baseline = _mc_payoff(
-        EpisodeConfig(
-            game=config.game,
-            target=config.target,
-            beta=config.beta,
-            horizon=config.horizon,
-            seed=config.seed,
-            enforcement=config.enforcement,
-            gamma=config.gamma,
-        ),
-        replications,
-    )
+    baseline = _mc_payoff(replace(config, deviations={}), kind, replications)
     base_mean = np.asarray(baseline.estimates["mean_payoff"])
     base_se = np.asarray(baseline.estimates["payoff_se"])
-    rows = list(baseline.rows)
-    gains, table = [], []
+    rows, table = list(baseline.rows), []
     for label, player, strategy in config.gap_family:
-        dev_config = EpisodeConfig(
-            game=config.game,
-            target=config.target,
-            beta=config.beta,
-            horizon=config.horizon,
-            seed=config.seed,
-            enforcement=config.enforcement,
-            gamma=config.gamma,
-            deviations={player: strategy},
-        )
-        dev_report = _mc_payoff(dev_config, replications)
+        dev_config = replace(config, deviations={player: strategy})
+        dev_report = _mc_payoff(dev_config, kind, replications)
         dev_mean = dev_report.estimates["mean_payoff"][player]
         dev_se = dev_report.estimates["payoff_se"][player]
         gain = dev_mean - base_mean[player]
         gain_se = math.sqrt(dev_se**2 + base_se[player] ** 2)
-        gains.append((gain, gain_se))
-        table.append(
-            {"label": label, "player": player, "gain": gain, "gain_se": gain_se}
-        )
-        for row in dev_report.rows:
-            row = dict(row)
-            row["mode"] = "gap"
-            row["variant"] = label
-            rows.append(row)
-    max_idx = int(np.argmax([g for g, _ in gains]))
-    max_gain, max_gain_se = gains[max_idx]
+        table.append({"label": label, "player": player, "gain": gain, "gain_se": gain_se})
+        rows.extend({**row, "mode": "gap", "variant": label} for row in dev_report.rows)
+    best = max(table, key=lambda entry: entry["gain"])  # the first of equal gains
+    max_gain, max_gain_se = best["gain"], best["gain_se"]
     estimates = {
         "max_gain": max_gain,
         "max_gain_se": max_gain_se,
-        "max_gain_label": config.gap_family[max_idx][0],
+        "max_gain_label": best["label"],
         "baseline_payoff": base_mean.tolist(),
     }
-    return MonteCarloReport(
-        mode="gap",
-        replications=replications,
-        base_seed=config.seed,
-        estimates=estimates,
-        intervals={"max_gain": (max_gain - 1.96 * max_gain_se, max_gain + 1.96 * max_gain_se)},
-        survival=None,
-        truncation_certificate=config.beta**config.horizon,
-        rows=rows,
-        extras={"family": table},
-    )
+    intervals = {"max_gain": (max_gain - 1.96 * max_gain_se, max_gain + 1.96 * max_gain_se)}
+    return _report(config, "gap", replications, rows, estimates, intervals,
+                   extras={"family": table})
 
 
-def _mc_wrongful_curve(config: EpisodeConfig, replications: int) -> MonteCarloReport:
-    if config.enforcement != "batch":
-        raise GameError("wrongful_curve mode is defined for batch enforcement")
+def _mc_wrongful_curve(config: EpisodeConfig, kind, replications: int) -> MonteCarloReport:
     horizons = [h for h in (config.curve_horizons or SURVIVAL_GRID[3:]) if h <= config.horizon]
     if not horizons:
         raise GameError("no curve horizons within the configured horizon")
     results = _map_reps(lambda rep: _batch_rep_counts(config, rep), replications)
-    onsets = []
-    rows = []
+    rows, onsets = [], []
     for rep, (kappas, kappa, onset, _, _) in enumerate(results):
         onsets.append(onset if onset is not None else math.inf)
         rows.append(_base_row(config, "wrongful_curve", rep, onset, kappas))
     onsets = np.array(onsets)
+    # Single-actioned batches always reject when delta allows; this gives
+    # an analytic lower bound on the punished fraction.
+    w0 = config.target.cooperative[0].probs
+    p_star = float(np.sum(w0**config.batch_length))
+    bound_valid = all(
+        2.0 * (1.0 - w0[a]) >= config.delta for a in range(w0.size) if w0[a] > 0
+    )
     curve = []
     for h in horizons:
         frac = float(np.mean(onsets <= h))
         batches = h // config.batch_length
-        # Single-actioned batches always reject when delta allows; this gives
-        # an analytic lower bound on the punished fraction.
-        w0 = config.target.cooperative[0].probs
-        p_star = float(np.sum(w0**config.batch_length))
-        bound_valid = all(
-            2.0 * (1.0 - w0[a]) >= config.delta for a in range(w0.size) if w0[a] > 0
-        )
         bound = 1.0 - (1.0 - p_star) ** batches if bound_valid else None
         curve.append(
             {"horizon": h, "punished_fraction": frac, "analytic_lower_bound": bound}
         )
     estimates = {"curve": curve}
-    return MonteCarloReport(
-        mode="wrongful_curve",
-        replications=replications,
-        base_seed=config.seed,
-        estimates=estimates,
-        intervals={},
-        survival=None,
-        truncation_certificate=config.beta**config.horizon,
-        rows=rows,
-        extras={"curve": curve},
-    )
+    return _report(config, "wrongful_curve", replications, rows, estimates, {},
+                   extras={"curve": curve})
 
 
 # ---------------------------------------------------------------------------

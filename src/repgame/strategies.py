@@ -4,6 +4,11 @@ Enforcement strategies (grim trigger and both test-then-punish variants)
 share read-only test state owned by the episode; all monitoring players see
 the same verdicts. Punishment is absorbing: once a strategy outputs the
 punishment action it does so at every later history.
+
+``grim_trigger_act``, ``anytime_ttp_act`` and ``batch_ttp_act`` are the
+per-player reference definitions. ``simulate.run_episode`` does not call
+them: its enforcement object holds the shared test state and fixes the
+punishment onset once; the tests check its cooperators against these.
 """
 from __future__ import annotations
 
@@ -168,8 +173,9 @@ class BatchAdversarial:
     The multiset is the integer count vector closest to L * w in L1 (ties
     toward lower action index), so the batch test accepts it whenever
     delta > K / L; for delta <= K / L the strategy falls back to playing the
-    cooperative mixed action itself. Actions are ordered by descending stage
-    payoff against the cooperative opponents, front-loading value under
+    cooperative mixed action itself, held in ``action`` as for a stationary
+    deviator (``schedule`` is then None). Actions are ordered by descending
+    stage payoff against the cooperative opponents, front-loading value under
     discounting.
     """
 
@@ -190,7 +196,7 @@ class BatchAdversarial:
         if distance >= delta:
             # Counts cannot be placed strictly inside the acceptance region.
             self.schedule = None
-            self.fallback = target.cooperative[player]
+            self.action = target.cooperative[player]
             return
         payoffs = pure_action_payoffs(game, target.cooperative, player)
         order = sorted(range(num_actions), key=lambda a: (-payoffs[a], a))
@@ -198,7 +204,6 @@ class BatchAdversarial:
         for a in order:
             schedule.extend([a] * int(counts[a]))
         self.schedule = np.array(schedule, dtype=np.int64)
-        self.fallback = None
 
     @staticmethod
     def _rounded_counts(ref: np.ndarray, batch_length: int) -> np.ndarray:
@@ -212,7 +217,7 @@ class BatchAdversarial:
 
     def act(self, history, t: int) -> MixedAction:
         if self.schedule is None:
-            return self.fallback
+            return self.action
         probs = np.zeros(self.num_actions)
         probs[int(self.schedule[t % self.batch_length])] = 1.0
         return MixedAction(probs)
@@ -242,19 +247,37 @@ class OneShotDeviation:
         return self.target.cooperative[self.player]
 
 
+def _field(params: dict, name: str, cast, default=None):
+    """``params[name]`` (or ``default``) passed through ``cast``; errors name the field."""
+    value = params.get(name, default)
+    if value is None:
+        raise ConfigurationError(f"missing field {name!r}")
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"invalid field {name!r}: {exc}") from None
+
+
 def make_deviation(kind: str, params: dict):
     """Build a deviation strategy from a named family.
 
     Kinds: ``stationary`` (probs), ``small_ball`` (game, target, player,
     epsilon, optional direction), ``batch_adversarial`` (game, target,
-    player, batch_length, delta).
+    player, batch_length, delta). Fields are coerced to their types. A
+    batch_adversarial without its own batch_length or delta takes it from
+    ``params["enforcement"]``, a resolved enforcement mapping. A missing or
+    invalid field raises ConfigurationError naming the field.
     """
     if kind == "stationary":
-        return Stationary(params["probs"])
+        return Stationary(_field(params, "probs", MixedAction))
     if kind == "small_ball":
-        return SmallBall(params["game"], params["target"], params["player"],
-                         params["epsilon"], params.get("direction"))
+        return SmallBall(params["game"], params["target"], _field(params, "player", int),
+                         _field(params, "epsilon", float), params.get("direction"))
     if kind == "batch_adversarial":
-        return BatchAdversarial(params["game"], params["target"], params["player"],
-                                params["batch_length"], params["delta"])
+        enforcement = params.get("enforcement", {})
+        return BatchAdversarial(
+            params["game"], params["target"], _field(params, "player", int),
+            _field(params, "batch_length", int, enforcement.get("batch_length")),
+            _field(params, "delta", float, enforcement.get("delta")),
+        )
     raise ConfigurationError(f"unknown deviation kind {kind!r}")

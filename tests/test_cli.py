@@ -150,6 +150,59 @@ class TestRunExperiment:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert any(a["status"] == "fail" for a in summary["assertions"])
 
+    def test_truncated_cooperative_payoff_passes_sandwich(self, tmp_path):
+        # Pure cooperation earns v (1 - beta^T) = 0.5189 at T = 2000 and
+        # beta = 0.999: below the lower bound (1 - gamma) v = 0.57, but by
+        # less than the truncation certificate beta^T = 0.135.
+        spec = base_spec(
+            mode="payoff",
+            target={"cooperative": [[1, 0], [1, 0]], "punishment": "solve"},
+            beta=0.999,
+            replications=10,
+        )
+        assert main(["run", str(write_spec(tmp_path, spec))]) == EXIT_OK
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["estimates"]["mean_payoff"] == \
+            pytest.approx([0.6 * (1 - 0.999**2000)] * 2, abs=1e-12)
+        assert {a["status"] for a in summary["assertions"]} == {"pass"}
+
+    def test_perfect_monitoring_anytime_exits_1(self, tmp_path, capsys):
+        spec = base_spec(monitoring="perfect")
+        assert main(["run", str(write_spec(tmp_path, spec))]) == EXIT_CONFIG_ERROR
+        assert "needs imperfect monitoring" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry, field", [
+        ({"kind": "stationary", "player": 0}, "probs"),
+        ({"kind": "small_ball", "player": 0, "epsilon": "big"}, "epsilon"),
+        ({"kind": "batch_adversarial", "player": 0}, "batch_length"),
+        ({"kind": "stationary", "player": 2, "probs": [1, 0]}, "player"),
+        ({"kind": "adaptive", "player": 0}, "adaptive"),
+    ])
+    def test_bad_deviation_exits_1_naming_the_field(self, tmp_path, capsys, entry, field):
+        spec = base_spec(mode="detection", deviations=[entry])
+        assert run_experiment(write_spec(tmp_path, spec)) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert field in err
+
+    def test_batch_adversarial_runs_in_batch_payoff_mode(self, tmp_path):
+        # Its batch length and delta come from the enforcement. The schedule
+        # (5 defections, 45 cooperations) matches w = (0.9, 0.1) exactly, so
+        # player 0's test never rejects.
+        spec = base_spec(
+            mode="payoff",
+            target={"cooperative": [[0.9, 0.1], [0.9, 0.1]], "punishment": "solve"},
+            enforcement={"kind": "batch", "delta": 0.3, "batch_length": 50},
+            deviations=[{"kind": "batch_adversarial", "player": 0}],
+            replications=5,
+        )
+        code = run_experiment(write_spec(tmp_path, spec))
+        assert code in (EXIT_OK, EXIT_ASSERTION_FAILURE)
+        rows = (tmp_path / "out" / "rows.csv").read_text().splitlines()
+        tau_idx = rows[0].split(",").index("tau_0")
+        assert len(rows) == 6
+        assert all(line.split(",")[tau_idx] == "" for line in rows[1:])
+
     def test_batch_tuned_resolution(self, tmp_path):
         spec = base_spec(
             enforcement={"kind": "batch_tuned", "epsilon": 1.0},

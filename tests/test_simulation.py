@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+import repgame.simulate as simulate
 from repgame import (
+    BatchAdversarial,
     EpisodeConfig,
     GameError,
     MixedAction,
@@ -20,7 +22,19 @@ from repgame import (
     solve_bimatrix_nash,
     wilson_interval,
 )
-from repgame.sequential import EProcessState, anytime_verdict, eprocess_update
+from repgame.sequential import (
+    BatchTestState,
+    EProcessState,
+    anytime_verdict,
+    batch_update,
+    eprocess_update,
+)
+from repgame.strategies import (
+    PublicHistory,
+    anytime_ttp_act,
+    batch_ttp_act,
+    grim_trigger_act,
+)
 from repgame.simulate import (
     _draw_actions,
     _eprocess_log_traj,
@@ -57,6 +71,15 @@ class TestEpisodeConfig:
     def test_rejects_missing_batch_params(self):
         with pytest.raises(GameError):
             config(enforcement="batch", delta=None, batch_length=None)
+
+    @pytest.mark.parametrize("enforcement, monitoring",
+                             [("anytime", "perfect"), ("batch", "perfect"),
+                              ("grim", "imperfect")])
+    def test_rejects_mismatched_monitoring(self, enforcement, monitoring):
+        # anytime and batch test realized actions; grim compares mixed profiles.
+        with pytest.raises(GameError, match="needs .* monitoring"):
+            config(enforcement=enforcement, monitoring=monitoring,
+                   delta=0.3, batch_length=10)
 
     def test_default_accounting_follows_monitoring(self):
         assert config().payoff_accounting == "realized"
@@ -338,8 +361,14 @@ class TestStreamKernels:
         assert None in crossings and any(c is not None for c in crossings)
 
     @pytest.mark.parametrize("enforcement", ["anytime", "batch"])
-    @pytest.mark.parametrize("deviations", [{}, {0: Stationary([0.6, 0.4])}])
+    @pytest.mark.parametrize("deviations", [
+        {},
+        {0: Stationary([0.6, 0.4])},
+        {0: BatchAdversarial(PD, MIXED_COOP, 0, batch_length=50, delta=0.3)},
+        {0: BatchAdversarial(PD, MIXED_COOP, 0, batch_length=7, delta=0.05)},
+    ])
     def test_episode_onset_matches_monte_carlo_row(self, enforcement, deviations):
+        # The two BatchAdversarial inputs are its scheduled and fallback cases.
         extra = {"gamma": None, "delta": 0.3, "batch_length": 50} \
             if enforcement == "batch" else {}
         cfg = config(enforcement=enforcement, horizon=400, seed=9,
@@ -361,6 +390,108 @@ class TestStreamKernels:
         with caplog.at_level(logging.WARNING, logger="repgame"):
             assert _worker_count() == 3
         assert not caplog.records
+
+
+def mixed_actions_drawn(monkeypatch):
+    """Record every mixed action run_episode samples from, in call order."""
+    drawn = []
+    original = simulate.sample_action
+
+    def spy(rng, action):
+        drawn.append(action)
+        return original(rng, action)
+
+    monkeypatch.setattr(simulate, "sample_action", spy)
+    return drawn
+
+
+MODES = ["type1", "detection", "payoff", "gap", "wrongful_curve"]
+
+
+class DefectFrom:
+    """Cooperates in PD until round ``start``, then defects; reads no history."""
+
+    def __init__(self, start):
+        self.start = start
+
+    def act(self, history, t):
+        return MixedAction([0, 1] if t >= self.start else [1, 0])
+
+
+class TestEnforcementKinds:
+    @pytest.mark.parametrize("horizon", [50, 100])
+    @pytest.mark.parametrize("late_defector", [False, True])
+    def test_grim_compares_each_round_once(self, monkeypatch, horizon, late_defector):
+        calls = []
+        original = MixedProfile.close_to
+
+        def counting(self, other, *args, **kwargs):
+            calls.append(1)
+            return original(self, other, *args, **kwargs)
+
+        monkeypatch.setattr(MixedProfile, "close_to", counting)
+        deviations = {1: DefectFrom(horizon // 2)} if late_defector else {}
+        cfg = config(target=PURE_COOP, monitoring="perfect", enforcement="grim",
+                     gamma=None, horizon=horizon, deviations=deviations)
+        traj = run_episode(cfg)
+        assert traj.punishment_onset == (horizon // 2 + 1 if late_defector else None)
+        assert len(calls) == horizon
+
+    def test_anytime_cooperators_follow_reference(self, monkeypatch):
+        drawn = mixed_actions_drawn(monkeypatch)
+        cfg = config(horizon=60, seed=2, deviations={0: Stationary([0.3, 0.7])})
+        traj = run_episode(cfg)
+        assert traj.rejection_times == [13, 18]  # both phases, and a late rejection
+        tests = [EProcessState.fresh(i, 2) for i in range(2)]
+        for t, joint in enumerate(traj.actions):
+            reference = anytime_ttp_act(tests, MIXED_COOP, 1, t=t)
+            assert np.array_equal(drawn[2 * t + 1].probs, reference.probs)
+            for i in range(2):
+                eprocess_update(tests[i], joint[i], MIXED_COOP.cooperative[i], expected_t=t)
+                anytime_verdict(tests[i], 0.05, 2)
+        assert [s.fired_at for s in tests] == traj.rejection_times
+
+    def test_batch_cooperators_follow_reference(self, monkeypatch):
+        drawn = mixed_actions_drawn(monkeypatch)
+        cfg = config(enforcement="batch", gamma=None, delta=0.5, batch_length=6,
+                     horizon=60, seed=3, deviations={0: Stationary([0.5, 0.5])})
+        traj = run_episode(cfg)
+        assert traj.punishment_onset == 18 and traj.rejection_times == [2, 3]
+        tests = [BatchTestState.fresh(i, 2, 6) for i in range(2)]
+        for t, joint in enumerate(traj.actions):
+            reference = batch_ttp_act(tests, MIXED_COOP, 1, t)
+            assert np.array_equal(drawn[2 * t + 1].probs, reference.probs)
+            for i in range(2):
+                batch_update(tests[i], joint[i], MIXED_COOP.cooperative[i], 0.5)
+        assert [s.fired_at_batch for s in tests] == traj.rejection_times
+
+    @pytest.mark.parametrize("accounting", ["expected", "realized"])
+    def test_grim_cooperators_follow_reference(self, accounting):
+        cfg = config(target=PURE_COOP, monitoring="perfect", enforcement="grim",
+                     gamma=None, horizon=60, payoff_accounting=accounting,
+                     deviations={0: OneShotDeviation(PURE_COOP, 0, 20, 1)})
+        traj = run_episode(cfg)
+        assert traj.punishment_onset == 21
+        history = PublicHistory("perfect")
+        for profile in traj.actions:
+            reference = grim_trigger_act(history, PURE_COOP, 1)
+            assert np.array_equal(profile[1].probs, reference.probs)
+            history.append(profile)
+
+    @pytest.mark.parametrize("enforcement, mode", [
+        ("batch", "detection"), ("batch", "gap"), ("anytime", "wrongful_curve"),
+        *(("grim", mode) for mode in MODES), *(("none", mode) for mode in MODES),
+    ])
+    def test_monte_carlo_rejects_unsupported_modes(self, enforcement, mode):
+        kind = {
+            "batch": {"gamma": None, "delta": 0.3, "batch_length": 10},
+            "grim": {"gamma": None, "monitoring": "perfect"},
+            "none": {"gamma": None},
+        }.get(enforcement, {})
+        cfg = config(enforcement=enforcement, deviations={0: Stationary([0.6, 0.4])},
+                     gap_family=[("defect", 0, Stationary([0, 1]))], **kind)
+        with pytest.raises(GameError, match=f"{mode} mode is not defined for {enforcement}"):
+            monte_carlo(cfg, mode, 5)
 
 
 class TestExactOracle:

@@ -233,3 +233,41 @@ class TestMakeDeviation:
     def test_unknown_kind(self):
         with pytest.raises(ConfigurationError):
             make_deviation("adaptive", {})
+
+    def test_coerces_spec_fields(self):
+        dev = make_deviation(
+            "small_ball",
+            {"game": PD, "target": MIXED_TARGET, "player": "0", "epsilon": "0.05"},
+        )
+        assert dev.epsilon == 0.05
+
+    def test_batch_adversarial_defaults_from_enforcement(self):
+        enforcement = {"kind": "batch", "delta": 0.3, "batch_length": 10}
+        dev = make_deviation(
+            "batch_adversarial",
+            {"game": PD, "target": MIXED_TARGET, "player": 0, "enforcement": enforcement},
+        )
+        assert (dev.batch_length, dev.delta) == (10, 0.3)
+        own = make_deviation(
+            "batch_adversarial",
+            {"game": PD, "target": MIXED_TARGET, "player": 0, "batch_length": 20,
+             "enforcement": enforcement},
+        )
+        assert (own.batch_length, own.delta) == (20, 0.3)
+
+    @pytest.mark.parametrize("kind, params, field", [
+        ("stationary", {}, "probs"),
+        ("stationary", {"probs": [0.5, "x"]}, "probs"),
+        ("small_ball", {"game": PD, "target": MIXED_TARGET, "player": 0}, "epsilon"),
+        ("small_ball", {"game": PD, "target": MIXED_TARGET, "player": 0,
+                        "epsilon": "big"}, "epsilon"),
+        ("batch_adversarial", {"game": PD, "target": MIXED_TARGET, "player": 0,
+                               "delta": 0.3}, "batch_length"),
+    ])
+    def test_bad_field_is_named(self, kind, params, field):
+        with pytest.raises(ConfigurationError, match=f"'{field}'"):
+            make_deviation(kind, params)
+
+    def test_fallback_batch_adversarial_is_stationary(self):
+        dev = BatchAdversarial(PD, MIXED_TARGET, 0, batch_length=4, delta=0.01)
+        assert dev.action.close_to(MIXED_TARGET.cooperative[0])
