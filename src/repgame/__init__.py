@@ -38,8 +38,8 @@ from .sequential import (
     anytime_verdict,
     batch_test,
     batch_update,
+    eprocess_crossed,
     eprocess_update,
-    laplace_estimate,
 )
 from .simulate import (
     EpisodeConfig,

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import batch_error_bounds, tuned_batch_params
+from .bounds import BoundParamError, batch_error_bounds, tuned_batch_params
 from .game import (
     GameError,
     MixedProfile,
@@ -132,8 +132,14 @@ def _resolve_enforcement(doc: dict) -> dict:
     kind = spec.get("kind")
     if kind not in _ENFORCEMENT_FIELDS:
         raise SpecError(f"unknown enforcement kind {kind!r}")
-    fields = _ENFORCEMENT_FIELDS[kind].items()
-    return {"kind": kind, **{name: cast(_require(spec, name)) for name, cast in fields}}
+    resolved = {"kind": kind}
+    for name, cast in _ENFORCEMENT_FIELDS[kind].items():
+        value = _require(spec, name)
+        try:
+            resolved[name] = cast(value)
+        except (TypeError, ValueError):
+            raise SpecError(f"invalid enforcement field {name!r}: {value!r}") from None
+    return resolved
 
 
 def _build_strategy(entry: dict, game: StageGame, target: PayoffTarget,
@@ -158,9 +164,12 @@ def build_config(doc: dict, base_dir: Path | None = None):
     target = _resolve_target(doc, game)
     enforcement = _resolve_enforcement(doc)
     if enforcement["kind"] == "batch_tuned":
-        schedule = tuned_batch_params(
-            enforcement["epsilon"], game.max_action_count, game.num_players
-        )
+        try:
+            schedule = tuned_batch_params(
+                enforcement["epsilon"], game.max_action_count, game.num_players
+            )
+        except BoundParamError as exc:
+            raise SpecError(f"invalid enforcement field 'epsilon': {exc}") from None
         enforcement = {
             "kind": "batch",
             "delta": schedule.delta,

@@ -4,12 +4,14 @@ The e-process accumulates in log domain; products of hundreds of likelihood
 ratios overflow in linear domain. Verdict thresholds are inclusive (>=).
 An observation outside the support of the reference action forces the log
 accumulator to +inf: detection is certain and the episode continues into
-punishment rather than erroring.
+punishment rather than erroring. ``eprocess_crossed`` is the one rule for
+e_t >= N / gamma: it decides on the action counts, exactly within TIE_BAND.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -22,6 +24,9 @@ class TestInputError(ValueError):
 
 class StalenessError(TestInputError):
     """A test state is out of sync with the caller's clock."""
+
+
+TIE_BAND = 1e-6  # running log e_t sums stay within 1e-7 of exact over 1e5 rounds
 
 
 @dataclass
@@ -48,21 +53,6 @@ class EProcessState:
         return self.counts.size
 
 
-def laplace_estimate(counts, t: int, num_actions: int) -> MixedAction:
-    """Smoothed empirical frequencies (count + 1) / (t + K).
-
-    At t = 0 this is the uniform distribution.
-    """
-    c = np.asarray(counts, dtype=np.int64)
-    if c.size != num_actions:
-        raise TestInputError("counts length does not match the action count")
-    if np.any(c < 0):
-        raise TestInputError("negative count")
-    if int(c.sum()) != t:
-        raise TestInputError(f"counts sum to {int(c.sum())}, expected t={t}")
-    return MixedAction((c + 1.0) / (t + num_actions))
-
-
 def eprocess_update(state: EProcessState, action: int, w_ref: MixedAction,
                     expected_t: int | None = None) -> EProcessState:
     """Fold one observed pure action into the e-process accumulator.
@@ -85,7 +75,25 @@ def eprocess_update(state: EProcessState, action: int, w_ref: MixedAction,
     return state
 
 
-def anytime_verdict(state: EProcessState, gamma: float, num_players: int) -> bool:
+def eprocess_crossed(counts, w_ref, gamma: float, num_players: int, log_e=None) -> bool:
+    """Whether e_t >= N / gamma for the e-process with these action counts.
+
+    e_t = (K-1)! prod_a c_a! / ((t+K-1)! prod_a w_a^c_a), with t = sum(counts).
+    A float ``log_e`` decides outside TIE_BAND of log(N / gamma); otherwise,
+    or without it, e_t is compared exactly (float w_a and gamma are dyadic).
+    """
+    threshold = math.log(num_players) - math.log(gamma)
+    if log_e is not None and abs(log_e - threshold) > TIE_BAND:
+        return log_e > threshold
+    counts, w = [int(c) for c in counts], [Fraction(float(p)) for p in w_ref]
+    k = len(counts)
+    numerator = math.factorial(k - 1) * math.prod(map(math.factorial, counts))
+    denominator = math.factorial(sum(counts) + k - 1) * math.prod(map(pow, w, counts))
+    return numerator * Fraction(gamma) >= num_players * denominator
+
+
+def anytime_verdict(state: EProcessState, w_ref: MixedAction, gamma: float,
+                    num_players: int) -> bool:
     """Whether the e-process has crossed the Ville threshold N / gamma.
 
     On the first crossing the state records ``fired_at`` (the round index
@@ -95,7 +103,7 @@ def anytime_verdict(state: EProcessState, gamma: float, num_players: int) -> boo
         raise TestInputError("gamma must lie in (0, 1)")
     if num_players < 1:
         raise TestInputError("num_players must be >= 1")
-    fired = state.log_e >= math.log(num_players) - math.log(gamma)
+    fired = eprocess_crossed(state.counts, w_ref, gamma, num_players, state.log_e)
     if fired and state.fired_at is None:
         state.fired_at = state.t
     return fired

@@ -19,8 +19,10 @@ of n actions equals n successive scalar draws from the same stream.
 The e-process scores round t (0-based) by log((c + 1) / (t + K)) - log w_a,
 where a is the observed action and c the number of earlier rounds that
 played a; an action outside the support of w scores +inf. Scores are summed
-in round order, and tau is the number of rounds scored when the sum first
-reaches log(N / gamma) (inclusive >=).
+in round order, and tau is the number of rounds scored when e_t first
+reaches N / gamma. Rounds whose sum comes within TIE_BAND of log(N / gamma)
+are decided by ``eprocess_crossed`` on their counts, exactly near a tie; the
+exact oracle applies the same rule on a forward pass over the count lattice.
 
 Each enforcement kind (anytime, batch, grim, none) is one class in the
 ``_KINDS`` table. An instance is the episode's enforcement: it holds the
@@ -53,10 +55,12 @@ from .game import (
     expected_utility,
 )
 from .sequential import (
+    TIE_BAND,
     BatchTestState,
     EProcessState,
     anytime_verdict,
     batch_update,
+    eprocess_crossed,
     eprocess_update,
 )
 from .strategies import PublicHistory
@@ -101,6 +105,12 @@ class EpisodeConfig:
             raise GameError(f"{self.enforcement} enforcement needs {needs}")
         if kind.monitoring not in (None, self.monitoring):
             raise GameError(f"{self.enforcement} enforcement needs {kind.monitoring} monitoring")
+        for name in ("gamma", "delta"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < 1.0:
+                raise GameError(f"{name} must lie in (0, 1)")
+        if self.batch_length is not None and self.batch_length < 1:
+            raise GameError("batch_length must be >= 1")
         if self.payoff_accounting is None:
             self.payoff_accounting = "expected" if self.monitoring == "perfect" else "realized"
 
@@ -198,12 +208,14 @@ class _Enforcement:
     joint action, or the mixed profile under perfect monitoring) and returns
     True once punishment applies from round t + 1. Class attributes give the
     monitoring the kind needs (None: either), its required EpisodeConfig
-    fields and the Monte Carlo modes it supports.
+    fields and the Monte Carlo modes it supports; ``cooperative_modes`` are
+    the ones that sample cooperative play only and so take no deviations.
     """
 
     monitoring = None
     needs = ()
     modes = frozenset()
+    cooperative_modes = frozenset()
 
     def __init__(self, config: EpisodeConfig):
         self.config = config
@@ -232,7 +244,7 @@ class _Anytime(_Enforcement):
         cooperative, n = self.config.target.cooperative, len(self.tests)
         for i, state in enumerate(self.tests):
             eprocess_update(state, record[i], cooperative[i], expected_t=t)
-            anytime_verdict(state, self.config.gamma, n)
+            anytime_verdict(state, cooperative[i], self.config.gamma, n)
         return any(s.fired_at is not None for s in self.tests)
 
     def rejection_times(self) -> list:
@@ -261,6 +273,7 @@ class _Batch(_Enforcement):
     monitoring = "imperfect"
     needs = ("delta", "batch_length")
     modes = frozenset({"type1", "payoff", "wrongful_curve"})
+    cooperative_modes = frozenset({"type1", "wrongful_curve"})
 
     def __init__(self, config: EpisodeConfig):
         super().__init__(config)
@@ -392,13 +405,18 @@ def _eprocess_log_traj(actions: np.ndarray, w_ref: np.ndarray) -> np.ndarray:
     return np.cumsum(logs, out=logs)
 
 
-def _eprocess_tau(actions: np.ndarray, w_ref: np.ndarray, log_threshold: float):
+def _eprocess_tau(actions: np.ndarray, w_ref: np.ndarray, gamma: float, num_players: int):
     """First punishment round implied by the e-process, or None."""
     cum = _eprocess_log_traj(actions, w_ref)
-    crossed = cum >= log_threshold
-    if not crossed.any():
-        return None
-    return int(np.argmax(crossed)) + 1
+    near = cum >= math.log(num_players) - math.log(gamma) - TIE_BAND
+    t = int(np.argmax(near))
+    while near[t]:
+        counts = np.bincount(actions[: t + 1], minlength=w_ref.size)
+        if eprocess_crossed(counts, w_ref, gamma, num_players, cum[t]):
+            return t + 1
+        near[t] = False
+        t = int(np.argmax(near))
+    return None
 
 
 def _batch_counts(actions: np.ndarray, batch_length: int, num_actions: int) -> np.ndarray:
@@ -475,13 +493,12 @@ def _spliced_payoff(config: EpisodeConfig, rep: int, streams: list, onset):
 
 def _anytime_rep(config: EpisodeConfig, rep: int, want_payoffs: bool):
     n = config.game.num_players
-    threshold = math.log(n) - math.log(config.gamma)
     streams, taus = [], []
     for i in range(n):
         actions = _pre_punishment_actions(config, rep, i)
         streams.append(actions)
         taus.append(
-            _eprocess_tau(actions, config.target.cooperative[i].probs, threshold)
+            _eprocess_tau(actions, config.target.cooperative[i].probs, config.gamma, n)
         )
     finite = [t for t in taus if t is not None]
     onset = min(finite) if finite else None
@@ -575,6 +592,9 @@ def monte_carlo(config: EpisodeConfig, mode: str, replications: int) -> MonteCar
     kind = _KINDS[config.enforcement]
     if mode not in kind.modes:
         raise GameError(f"{mode} mode is not defined for {config.enforcement} enforcement")
+    if config.deviations and mode in kind.cooperative_modes:
+        raise GameError(f"{mode} mode is not defined for {config.enforcement} enforcement "
+                        "with declared deviations: it samples cooperative play only")
     return dispatch[mode](config, kind, replications)
 
 
@@ -728,36 +748,30 @@ def eprocess_exact_oracle(
     gamma: float,
     num_players: int,
     depth: int,
-    depth_cap: int = 14,
 ) -> float:
     """Exact crossing probability of the plug-in e-process at finite depth.
 
-    Enumerates the full K^depth action tree under i.i.d. draws from w_ref and
-    returns the probability that the e-process reaches N / gamma at any point
-    within the first ``depth`` observations. The caller compares this against
-    gamma; the function itself just reports the number.
+    The probability, under i.i.d. draws from w_ref, that the e-process reaches
+    N / gamma within the first ``depth`` observations: a forward pass over the
+    count lattice that removes the mass crossing at each step. The caller
+    compares this against gamma; the function itself just reports the number.
     """
-    if depth < 1 or depth > depth_cap:
-        raise GameError(f"depth must lie in [1, {depth_cap}] for exhaustive enumeration")
+    if depth < 1:
+        raise GameError("depth must be >= 1")
     probs = w_ref.probs if isinstance(w_ref, MixedAction) else np.asarray(w_ref, float)
     if probs.size != num_actions:
         raise GameError("w_ref dimension does not match num_actions")
-    threshold = math.log(num_players) - math.log(gamma)
-    log_probs = [math.log(p) if p > 0 else -math.inf for p in probs]
-
-    def recurse(counts, t, log_e, prob):
-        if t > 0 and log_e >= threshold:
-            return prob
-        if t == depth:
-            return 0.0
-        total = 0.0
-        for a in range(num_actions):
-            if probs[a] <= 0.0:
-                continue
-            pred = math.log((counts[a] + 1.0) / (t + num_actions))
-            counts[a] += 1
-            total += recurse(counts, t + 1, log_e + pred - log_probs[a], prob * probs[a])
-            counts[a] -= 1
-        return total
-
-    return recurse([0] * num_actions, 0, 0.0, 1.0)
+    live, crossed = {(0,) * num_actions: 1.0}, 0.0
+    for _ in range(depth):
+        step = {}
+        for counts, mass in live.items():
+            for a, p in enumerate(probs.tolist()):
+                nxt = counts[:a] + (counts[a] + 1,) + counts[a + 1:]
+                step[nxt] = step.get(nxt, 0.0) + mass * p
+        live = {}
+        for counts, mass in step.items():
+            if eprocess_crossed(counts, probs, gamma, num_players):
+                crossed += mass
+            else:
+                live[counts] = mass
+    return crossed

@@ -228,7 +228,9 @@ class OneShotDeviation:
 
     Outside the forced round it behaves like everyone else: cooperate on a
     clean perfect-monitoring history, punish forever after any off-path
-    round (including its own forced deviation).
+    round (including its own forced deviation). It is called once per round
+    and compares only the newest profile, so an episode is linear in its
+    horizon; the state resets at t = 0.
     """
 
     def __init__(self, target: PayoffTarget, player: int, at_round: int, action: int):
@@ -238,12 +240,17 @@ class OneShotDeviation:
         probs = np.zeros(len(target.cooperative[player]))
         probs[action] = 1.0
         self.deviation = MixedAction(probs)
+        self.on_path = True
 
     def act(self, history, t: int) -> MixedAction:
+        if t == 0:
+            self.on_path = True
+        elif history.mode == "perfect" and self.on_path:
+            self.on_path = history.rounds[-1].close_to(self.target.cooperative)
         if t == self.at_round:
             return self.deviation
-        if history.mode == "perfect":
-            return grim_trigger_act(history, self.target, self.player)
+        if not self.on_path:
+            return self.target.punishment[self.player]
         return self.target.cooperative[self.player]
 
 

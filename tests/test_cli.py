@@ -185,6 +185,36 @@ class TestRunExperiment:
         assert len(err.strip().splitlines()) == 1
         assert field in err
 
+    @pytest.mark.parametrize("enforcement, field", [
+        ({"kind": "anytime", "gamma": "abc"}, "gamma"),
+        ({"kind": "anytime", "gamma": 0}, "gamma"),
+        ({"kind": "anytime", "gamma": -1}, "gamma"),
+        ({"kind": "anytime", "gamma": 1.5}, "gamma"),
+        ({"kind": "batch", "delta": 0.3, "batch_length": 0}, "batch_length"),
+        ({"kind": "batch", "delta": 1.5, "batch_length": 10}, "delta"),
+        ({"kind": "batch_tuned", "epsilon": 2}, "epsilon"),
+    ])
+    def test_bad_enforcement_exits_1_naming_the_field(self, tmp_path, capsys, enforcement,
+                                                      field):
+        spec = base_spec(enforcement=enforcement)
+        assert main(["run", str(write_spec(tmp_path, spec))]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert field in err
+
+    @pytest.mark.parametrize("mode", ["type1", "wrongful_curve"])
+    def test_batch_cooperative_modes_reject_deviations(self, tmp_path, capsys, mode):
+        # These modes draw cooperative batch counts, so a deviator would be ignored.
+        spec = base_spec(
+            mode=mode,
+            enforcement={"kind": "batch", "delta": 0.3, "batch_length": 10},
+            deviations=[{"kind": "stationary", "player": 0, "probs": [0, 1]}],
+        )
+        assert main(["run", str(write_spec(tmp_path, spec))]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "declared deviations" in err
+
     def test_batch_adversarial_runs_in_batch_payoff_mode(self, tmp_path):
         # Its batch length and delta come from the enforcement. The schedule
         # (5 defections, 45 cooperations) matches w = (0.9, 0.1) exactly, so

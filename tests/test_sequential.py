@@ -14,32 +14,12 @@ from repgame import (
     anytime_verdict,
     batch_test,
     batch_update,
+    eprocess_exact_oracle,
     eprocess_update,
-    laplace_estimate,
 )
+from repgame.simulate import _eprocess_tau
 
 UNIFORM = MixedAction([0.5, 0.5])
-
-
-class TestLaplaceEstimate:
-    def test_uniform_at_zero(self):
-        assert laplace_estimate([0, 0], 0, 2).probs.tolist() == [0.5, 0.5]
-
-    def test_counts_3_1(self):
-        est = laplace_estimate([3, 1], 4, 2)
-        assert np.allclose(est.probs, [4 / 6, 2 / 6])
-
-    def test_counts_8_0(self):
-        est = laplace_estimate([8, 0], 8, 2)
-        assert np.allclose(est.probs, [0.9, 0.1])
-
-    def test_rejects_negative_counts(self):
-        with pytest.raises(InputError):
-            laplace_estimate([-1, 1], 0, 2)
-
-    def test_rejects_inconsistent_t(self):
-        with pytest.raises(InputError):
-            laplace_estimate([3, 1], 5, 2)
 
 
 class TestEProcess:
@@ -59,7 +39,7 @@ class TestEProcess:
         state = EProcessState.fresh(0, 2)
         eprocess_update(state, 1, MixedAction([1.0, 0.0]))
         assert state.log_e == math.inf
-        assert anytime_verdict(state, 0.5, 2)
+        assert anytime_verdict(state, MixedAction([1.0, 0.0]), 0.5, 2)
 
     def test_staleness_check(self):
         state = EProcessState.fresh(0, 2)
@@ -87,28 +67,39 @@ class TestEProcess:
 
 class TestAnytimeVerdict:
     def test_inclusive_threshold(self):
+        # w = (1/2, 1/2), N = 1, gamma = 1/2: the path 0, 0, 0 has
+        # e_3 = (1/2)(2/3)(3/4) / (1/8) = 2 = N / gamma exactly, while the
+        # running float sum lands one ulp below log 2. The scalar fold, the
+        # vector kernel and the exact oracle must all fire at t = 3.
         state = EProcessState.fresh(0, 2)
-        state.log_e = math.log(2) - math.log(0.05)  # exactly N / gamma
-        assert anytime_verdict(state, 0.05, 2)
+        verdicts = []
+        for _ in range(3):
+            eprocess_update(state, 0, UNIFORM)
+            verdicts.append(anytime_verdict(state, UNIFORM, 0.5, 1))
+        assert state.log_e < math.log(2)
+        assert verdicts == [False, False, True] and state.fired_at == 3
+        assert _eprocess_tau(np.zeros(3, dtype=np.int64), UNIFORM.probs, 0.5, 1) == 3
+        assert eprocess_exact_oracle(2, UNIFORM, 0.5, 1, 2) == 0.0
+        assert eprocess_exact_oracle(2, UNIFORM, 0.5, 1, 3) == 0.25  # paths 000 and 111
 
     def test_unit_process_below_threshold(self):
         state = EProcessState.fresh(0, 2)
-        assert not anytime_verdict(state, 0.05, 2)  # 1 < 40
+        assert not anytime_verdict(state, UNIFORM, 0.05, 2)  # 1 < 40
 
     def test_fired_at_immutable(self):
         state = EProcessState.fresh(0, 2)
         state.log_e = math.inf
         state.t = 3
-        anytime_verdict(state, 0.1, 1)
+        anytime_verdict(state, UNIFORM, 0.1, 1)
         assert state.fired_at == 3
         state.t = 9
-        anytime_verdict(state, 0.1, 1)
+        anytime_verdict(state, UNIFORM, 0.1, 1)
         assert state.fired_at == 3
 
     def test_parameter_range(self):
         state = EProcessState.fresh(0, 2)
         with pytest.raises(InputError):
-            anytime_verdict(state, 1.5, 2)
+            anytime_verdict(state, UNIFORM, 1.5, 2)
 
 
 class TestBatchTest:

@@ -1,5 +1,6 @@
 import logging
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -50,6 +51,28 @@ PURE_COOP = PayoffTarget.from_profiles(
 MIXED_COOP = PayoffTarget.from_profiles(
     PD, MixedProfile(([0.9, 0.1], [0.9, 0.1])), solve_bimatrix_nash(PD)
 )
+
+
+def fraction_crossing(probs, gamma, num_players, depth):
+    """Crossing probability within ``depth`` rounds, by path enumeration in Fraction."""
+    w = [Fraction(p) for p in probs]
+    threshold = num_players / Fraction(gamma)
+
+    def rec(counts, t, e, mass):
+        if t > 0 and e >= threshold:
+            return mass
+        if t == depth:
+            return Fraction(0)
+        total = Fraction(0)
+        for a, p in enumerate(w):
+            if p:
+                ratio = Fraction(counts[a] + 1, t + len(w)) / p
+                counts[a] += 1
+                total += rec(counts, t + 1, e * ratio, mass * p)
+                counts[a] -= 1
+        return total
+
+    return rec([0] * len(w), 0, Fraction(1), Fraction(1))
 
 
 def config(**kwargs):
@@ -348,17 +371,37 @@ class TestStreamKernels:
 
     def test_scalar_fold_crosses_at_vector_tau(self):
         gamma, num_players = 0.05, 2
-        threshold = math.log(num_players) - math.log(gamma)
         crossings = []
         for actions, w_ref in seeded_streams():
             state = EProcessState.fresh(0, w_ref.size)
             for a in actions:
                 eprocess_update(state, int(a), MixedAction(w_ref))
-                if anytime_verdict(state, gamma, num_players):
+                if anytime_verdict(state, MixedAction(w_ref), gamma, num_players):
                     break
-            assert state.fired_at == _eprocess_tau(actions, w_ref, threshold)
+            assert state.fired_at == _eprocess_tau(actions, w_ref, gamma, num_players)
             crossings.append(state.fired_at)
         assert None in crossings and any(c is not None for c in crossings)
+
+    def test_running_sum_within_tenth_of_tie_band(self):
+        # _eprocess_tau trusts the float sum outside TIE_BAND = 1e-6, so the
+        # sum must stay well inside that band of the closed form
+        # log e_t = log (K-1)! + sum_a log c_a! - log (t+K-1)! - sum_a c_a log w_a.
+        # Cooperative and off-reference play, K in {2, 3, 4}.
+        worst = 0.0
+        for seed in range(8):
+            rng = np.random.default_rng([11, seed])
+            num_actions = 2 + seed % 3
+            w_ref = rng.dirichlet(np.ones(num_actions))
+            play = w_ref if seed % 2 == 0 else rng.dirichlet(np.ones(num_actions))
+            actions = _draw_actions(rng, play, 100_000)
+            cum = _eprocess_log_traj(actions, w_ref)
+            for t in (1_000, 10_000, 100_000):
+                counts = np.bincount(actions[:t], minlength=num_actions)
+                closed = (math.lgamma(num_actions) - math.lgamma(t + num_actions)
+                          + sum(math.lgamma(c + 1) - c * math.log(w)
+                                for c, w in zip(counts, w_ref)))
+                worst = max(worst, abs(cum[t - 1] - closed))
+        assert worst <= 1e-7
 
     @pytest.mark.parametrize("enforcement", ["anytime", "batch"])
     @pytest.mark.parametrize("deviations", [
@@ -436,6 +479,13 @@ class TestEnforcementKinds:
         traj = run_episode(cfg)
         assert traj.punishment_onset == (horizon // 2 + 1 if late_defector else None)
         assert len(calls) == horizon
+        # A one-shot deviator follows grim itself: one comparison per round
+        # until the first off-path profile, on top of the enforcement's one.
+        at_round = horizon // 2 if late_defector else horizon - 1
+        calls.clear()
+        cfg.deviations = {1: OneShotDeviation(PURE_COOP, 1, at_round, 1)}
+        assert run_episode(cfg).punishment_onset == at_round + 1
+        assert len(calls) == horizon + min(at_round + 1, horizon - 1)
 
     def test_anytime_cooperators_follow_reference(self, monkeypatch):
         drawn = mixed_actions_drawn(monkeypatch)
@@ -448,7 +498,7 @@ class TestEnforcementKinds:
             assert np.array_equal(drawn[2 * t + 1].probs, reference.probs)
             for i in range(2):
                 eprocess_update(tests[i], joint[i], MIXED_COOP.cooperative[i], expected_t=t)
-                anytime_verdict(tests[i], 0.05, 2)
+                anytime_verdict(tests[i], MIXED_COOP.cooperative[i], 0.05, 2)
         assert [s.fired_at for s in tests] == traj.rejection_times
 
     def test_batch_cooperators_follow_reference(self, monkeypatch):
@@ -480,6 +530,7 @@ class TestEnforcementKinds:
 
     @pytest.mark.parametrize("enforcement, mode", [
         ("batch", "detection"), ("batch", "gap"), ("anytime", "wrongful_curve"),
+        ("batch", "type1"), ("batch", "wrongful_curve"),  # sample cooperative play only
         *(("grim", mode) for mode in MODES), *(("none", mode) for mode in MODES),
     ])
     def test_monte_carlo_rejects_unsupported_modes(self, enforcement, mode):
@@ -510,8 +561,27 @@ class TestExactOracle:
         assert total <= 1.0 + 1e-12
 
     def test_depth_cap(self):
+        # The count-lattice pass has no depth cap.
+        assert eprocess_exact_oracle(2, MixedAction([0.5, 0.5]), 0.1, 1, 30) <= 0.1
         with pytest.raises(GameError):
-            eprocess_exact_oracle(2, MixedAction([0.5, 0.5]), 0.1, 1, 30)
+            eprocess_exact_oracle(2, MixedAction([0.5, 0.5]), 0.1, 1, 0)
+
+    @pytest.mark.parametrize("probs, gamma, num_players, max_depth", [
+        ((0.5, 0.5), 0.5, 1, 10),  # e_3 = N / gamma exactly on 000 and 111
+        ((0.8, 0.2), 0.2, 1, 10),
+        ((0.9, 0.1), 0.1, 2, 10),
+        ((0.2, 0.3, 0.5), 0.25, 1, 8),
+        ((0.25, 0.0, 0.75), 0.5, 1, 10),
+    ])
+    def test_matches_fraction_enumeration(self, probs, gamma, num_players, max_depth):
+        # Path enumeration done entirely in Fraction, independent of the
+        # library's crossing rule. Float masses carry at most about depth
+        # roundings each; the measured gap is below 2e-17.
+        for depth in range(1, max_depth + 1):
+            exact = fraction_crossing(probs, gamma, num_players, depth)
+            got = eprocess_exact_oracle(len(probs), MixedAction(list(probs)), gamma,
+                                        num_players, depth)
+            assert abs(got - exact) <= 1e-15
 
     def test_monotone_in_depth(self):
         w = MixedAction([0.5, 0.5])
@@ -522,18 +592,17 @@ class TestExactOracle:
         w = MixedAction([0.5, 0.5])
         exact = eprocess_exact_oracle(2, w, 0.5, 1, 6)
         rng = np.random.default_rng(0)
-        threshold = math.log(1) - math.log(0.5)
+        threshold = Fraction(1) / Fraction(0.5)  # N / gamma, compared exactly
         hits = 0
         reps = 20_000
         draws = rng.integers(0, 2, size=(reps, 6))
         for row in draws:
             counts = [0, 0]
-            log_e, crossed = 0.0, False
+            e, crossed = Fraction(1), False
             for t, a in enumerate(row):
-                pred = (counts[a] + 1) / (t + 2)
-                log_e += math.log(pred) - math.log(0.5)
+                e *= Fraction(counts[a] + 1, t + 2) / Fraction(0.5)
                 counts[a] += 1
-                if log_e >= threshold:
+                if e >= threshold:
                     crossed = True
                     break
             hits += crossed
