@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -19,6 +20,15 @@ GAME_DOC = {
     "action_counts": [2, 2],
     "utilities": [[[0.6, 0.0], [1.0, 0.2]], [[0.6, 1.0], [0.0, 0.2]]],
 }
+
+
+NINE_TENTHS = {"cooperative": [[0.9, 0.1], [0.9, 0.1]], "punishment": "solve"}
+BATCH_10 = {"kind": "batch", "delta": 0.4, "batch_length": 10}
+BATCH_50 = {"kind": "batch", "delta": 0.3, "batch_length": 50}
+GAP_FAMILY = [
+    {"kind": "stationary", "player": 0, "probs": [0, 1], "label": "defect"},
+    {"kind": "small_ball", "player": 1, "epsilon": 0.1, "label": "ball"},
+]
 
 
 def base_spec(**overrides):
@@ -270,6 +280,45 @@ class TestEmitReport:
         run_experiment(write_spec(tmp_path, spec))
         text = emit_report(tmp_path / "out")
         assert "P(tau >= t)" in text
+
+    @pytest.mark.parametrize("overrides, headers, assertions", [
+        (dict(enforcement=BATCH_10),
+         [["estimate", "value", "wilson 95% CI"]],
+         [("per_batch_rate_le_p_L", "pass"), ("type1_rate_le_union_p_L", "pass")]),
+        (dict(mode="payoff"),
+         [["player", "lower bound", "estimate", "v"]],
+         [("payoff_sandwich_player_0", "pass"), ("payoff_sandwich_player_1", "pass")]),
+        (dict(mode="payoff", target=NINE_TENTHS, enforcement=BATCH_50, horizon=5000),
+         [["player", "lower bound", "estimate", "v"]],
+         [("payoff_sandwich_player_0", "pass"), ("payoff_sandwich_player_1", "pass")]),
+        (dict(mode="gap", gap_family=GAP_FAMILY, gap_epsilon=0.1),
+         [["deviation", "player", "gain", "se"]],
+         [("max_gain_le_eps_plus_gamma", "pass")]),
+        (dict(mode="gap", gap_family=GAP_FAMILY),
+         [["deviation", "player", "gain", "se"]], []),
+        (dict(mode="wrongful_curve", enforcement=BATCH_10, curve_horizons=[100, 1000]),
+         [["horizon", "punished fraction", "analytic lower bound"]],
+         [("punished_fraction_nondecreasing", "pass"),
+          ("final_fraction_ge_analytic_bound", "pass")]),
+        # 2 (1 - 0.9) < delta: a batch of all action 0 is not rejected, so no bound.
+        (dict(mode="wrongful_curve", target=NINE_TENTHS, enforcement=BATCH_50),
+         [["horizon", "punished fraction", "analytic lower bound"]],
+         [("punished_fraction_nondecreasing", "pass")]),
+    ], ids=["batch-type1", "anytime-payoff", "batch-payoff", "gap-epsilon", "gap",
+            "curve-bound", "curve-no-bound"])
+    def test_report_tables_and_assertions(self, tmp_path, overrides, headers, assertions):
+        run_experiment(write_spec(tmp_path, base_spec(**overrides)))
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert [(a["name"], a["status"]) for a in summary["assertions"]] == assertions
+        cells = [re.split(r"\s{2,}", line.strip())
+                 for line in emit_report(tmp_path / "out").splitlines()]
+        for header in headers:
+            assert header in cells
+        if assertions:
+            assert ["assertion", "status", "observed", "bound"] in cells
+            assert {tuple(row[:2]) for row in cells} >= set(assertions)
+        else:
+            assert ["no assertable inequalities for this mode"] in cells
 
 
 class TestCliEntryPoints:
