@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import BoundParamError, batch_error_bounds, tuned_batch_params
+from .bounds import BoundParamError, tuned_batch_params
 from .game import (
     GameError,
     MixedProfile,
@@ -37,17 +37,14 @@ from .game import (
     load_game,
     solve_bimatrix_nash,
 )
-from .simulate import EpisodeConfig, MonteCarloReport, monte_carlo, wilson_interval
+from .simulate import INCONCLUSIVE, MODES, EpisodeConfig, MonteCarloReport, monte_carlo
 from .strategies import ConfigurationError, make_deviation
 
 SCHEMA_VERSION = 1
-DEFAULT_CONCLUSIVE_HORIZON = 10_000
 
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 1
 EXIT_ASSERTION_FAILURE = 2
-
-INCONCLUSIVE = "inconclusive: horizon certificate"
 
 
 class SpecError(ValueError):
@@ -219,118 +216,13 @@ def build_config(doc: dict, base_dir: Path | None = None):
     return config, enforcement, resolved
 
 
-# ---------------------------------------------------------------------------
-# Assertions
-# ---------------------------------------------------------------------------
+def evaluate_assertions(spec: dict, config: EpisodeConfig, report: MonteCarloReport) -> list:
+    """The mode's pass/fail checks of the report against the theoretical bounds.
 
-
-def _assertion(name, status, observed, bound, note=""):
-    return {
-        "name": name,
-        "status": status,
-        "observed": observed,
-        "bound": bound,
-        "note": note,
-    }
-
-
-def evaluate_assertions(doc: dict, config: EpisodeConfig, enforcement: dict,
-                        report: MonteCarloReport) -> list:
-    """Mode-specific pass/fail checks against the theoretical bounds.
-
-    Rate assertions over censored data pass only when the horizon reaches
-    the conclusive threshold; below it a non-violating rate is marked
-    inconclusive because unobserved rejections past T cannot be excluded.
+    Rate assertions over censored data are marked ``INCONCLUSIVE`` when the
+    horizon is below the spec's ``conclusive_horizon``.
     """
-    conclusive = int(doc.get("conclusive_horizon", DEFAULT_CONCLUSIVE_HORIZON))
-    out = []
-    if report.mode == "type1":
-        rate = report.estimates["punished_rate_censored"]
-        _, upper = report.intervals["punished_rate_censored"]
-        if enforcement["kind"] == "anytime":
-            bound = enforcement["gamma"]
-            name = "type1_rate_le_gamma"
-        else:
-            p_l, _, _ = batch_error_bounds(
-                config.game.max_action_count, config.game.num_players,
-                config.batch_length, config.delta, config.beta,
-            )
-            horizon_batches = config.horizon // config.batch_length
-            bound = min(1.0, p_l * horizon_batches)
-            name = "type1_rate_le_union_p_L"
-            batch_rate = report.estimates["per_batch_rejection_rate"]
-            _, batch_upper = report.intervals["per_batch_rejection_rate"]
-            slack = max(p_l, batch_upper - batch_rate)
-            status = "pass" if batch_rate <= p_l + slack else "fail"
-            out.append(
-                _assertion("per_batch_rate_le_p_L", status, batch_rate, p_l)
-            )
-        slack = upper - rate
-        if rate > bound + slack:
-            status = "fail"
-        elif config.horizon < conclusive:
-            status = INCONCLUSIVE
-        else:
-            status = "pass"
-        out.append(
-            _assertion(
-                name, status, rate, bound,
-                note="censored lower bound on the wrongful-punishment probability",
-            )
-        )
-    elif report.mode == "detection":
-        minimum = doc.get("min_detection_rate")
-        if minimum is not None:
-            rate = report.estimates["detected_rate"]
-            status = "pass" if rate >= float(minimum) else "fail"
-            out.append(_assertion("detected_rate_ge_min", status, rate, float(minimum)))
-    elif report.mode == "payoff":
-        lower = report.extras["theoretical_lower"]
-        upper = report.extras["theoretical_upper"]
-        mean = report.estimates["mean_payoff"]
-        se = report.estimates["payoff_se"]
-        cert = report.truncation_certificate
-        for i in range(config.game.num_players):
-            # Stage payoffs lie in [0, 1], so truncating at T lowers the
-            # mean by at most beta^T: the certificate widens the lower side.
-            ok = (lower[i] - 3.0 * se[i] - cert <= mean[i] <= upper[i] + 3.0 * se[i])
-            out.append(
-                _assertion(
-                    f"payoff_sandwich_player_{i}",
-                    "pass" if ok else "fail",
-                    mean[i],
-                    [lower[i], upper[i]],
-                    note="bounds widened by 3 SE (- truncation certificate below)",
-                )
-            )
-    elif report.mode == "gap":
-        epsilon = doc.get("gap_epsilon")
-        if epsilon is not None:
-            bound = float(epsilon) + (config.gamma or 0.0)
-            gain = report.estimates["max_gain"]
-            se = report.estimates["max_gain_se"]
-            status = "pass" if gain <= bound + 3.0 * se else "fail"
-            out.append(
-                _assertion("max_gain_le_eps_plus_gamma", status, gain, bound,
-                           note="bound widened by 3 SE")
-            )
-    elif report.mode == "wrongful_curve":
-        curve = report.estimates["curve"]
-        fracs = [point["punished_fraction"] for point in curve]
-        monotone = all(a <= b + 1e-12 for a, b in zip(fracs, fracs[1:]))
-        out.append(
-            _assertion("punished_fraction_nondecreasing",
-                       "pass" if monotone else "fail", fracs, None)
-        )
-        last = curve[-1]
-        if last["analytic_lower_bound"] is not None:
-            ok = last["punished_fraction"] >= last["analytic_lower_bound"]
-            out.append(
-                _assertion("final_fraction_ge_analytic_bound",
-                           "pass" if ok else "fail",
-                           last["punished_fraction"], last["analytic_lower_bound"])
-            )
-    return out
+    return MODES[report.mode].checks(spec, config, report)
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +292,7 @@ def run_experiment(spec_path, output_dir=None) -> int:
     except (SpecError, GameError, ConfigurationError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    assertions = evaluate_assertions(doc, config, enforcement, report)
+    assertions = evaluate_assertions(doc, config, report)
     out_dir.mkdir(parents=True, exist_ok=True)
     experiment_id = doc.get("experiment_id", Path(spec_path).stem)
     write_rows(out_dir / "rows.csv", report, experiment_id, config.game.num_players)
@@ -457,67 +349,18 @@ def emit_report(result_dir) -> str:
             rows = list(csv.DictReader(fh))
         except csv.Error as exc:
             raise SpecError(f"corrupt rows file: {exc}") from exc
-    mode = summary["mode"]
+    mode = MODES.get(summary["mode"]) if isinstance(summary["mode"], str) else None
+    if mode is None:
+        raise SpecError(f"unknown Monte Carlo mode {summary['mode']!r} in {summary_path}")
     sections = [
         f"experiment: {summary['experiment_id']}",
-        f"mode: {mode}   replications: {summary['replications']}   "
+        f"mode: {summary['mode']}   replications: {summary['replications']}   "
         f"seed: {summary['base_seed']}",
         f"truncation certificate (beta^T): {summary['truncation_certificate']:.6g}",
         "",
     ]
-    est = summary["estimates"]
-    if mode == "type1":
-        low, high = summary["intervals"]["punished_rate_censored"]
-        table = [["punished rate (censored)",
-                  f"{est['punished_rate_censored']:.6g}",
-                  f"[{low:.6g}, {high:.6g}]"]]
-        if "per_batch_rejection_rate" in est:
-            blow, bhigh = summary["intervals"]["per_batch_rejection_rate"]
-            table.append(["per-batch rejection rate",
-                          f"{est['per_batch_rejection_rate']:.6g}",
-                          f"[{blow:.6g}, {bhigh:.6g}]"])
-        sections.append(_format_table(["estimate", "value", "wilson 95% CI"], table))
-    elif mode == "detection":
-        table = [
-            ["detected rate", f"{est['detected_rate']:.6g}"],
-            ["mean tau (censored)", f"{est['mean_tau_censored']:.6g}"],
-            ["median tau (censored)", f"{est['median_tau_censored']:.6g}"],
-            ["q90 tau (censored)", f"{est['q90_tau_censored']:.6g}"],
-        ]
-        sections.append(_format_table(["estimate", "value"], table))
-        if summary.get("survival"):
-            sections.append("")
-            sections.append(_format_table(
-                ["t", "P(tau >= t)"],
-                [[t, f"{p:.6g}"] for t, p in summary["survival"]],
-            ))
-    elif mode == "payoff":
-        lower = summary["extras"]["theoretical_lower"]
-        upper = summary["extras"]["theoretical_upper"]
-        table = [
-            [i, f"{lower[i]:.6g}", f"{m:.6g}", f"{upper[i]:.6g}"]
-            for i, m in enumerate(est["mean_payoff"])
-        ]
-        sections.append(_format_table(
-            ["player", "lower bound", "estimate", "v"], table))
-    elif mode == "gap":
-        table = [
-            [e["label"], e["player"], f"{e['gain']:.6g}", f"{e['gain_se']:.3g}"]
-            for e in summary["extras"]["family"]
-        ]
-        sections.append(_format_table(["deviation", "player", "gain", "se"], table))
-        sections.append("")
-        sections.append(f"max gain: {est['max_gain']:.6g} ({est['max_gain_label']})")
-    elif mode == "wrongful_curve":
-        table = [
-            [p["horizon"], f"{p['punished_fraction']:.6g}",
-             "-" if p["analytic_lower_bound"] is None
-             else f"{p['analytic_lower_bound']:.6g}"]
-            for p in est["curve"]
-        ]
-        sections.append(_format_table(
-            ["horizon", "punished fraction", "analytic lower bound"], table))
-    sections.append("")
+    for block in mode.tables(summary):
+        sections += [block if isinstance(block, str) else _format_table(*block), ""]
     if summary["assertions"]:
         table = [
             [a["name"], a["status"], _fmt(a["observed"]), _fmt(a["bound"])]

@@ -32,6 +32,12 @@ the cooperative to the punishment profile there. The per-player strategies
 in ``repgame.strategies`` (``anytime_ttp_act``, ``batch_ttp_act``,
 ``grim_trigger_act``) remain the reference definitions that the episode
 loop is tested against.
+
+Each Monte Carlo mode (type1, detection, payoff, gap, wrongful_curve) is one
+class in the ``MODES`` table. It names the enforcement kinds that define it,
+runs the replications, checks the report against the paper's bounds and
+lays out the tables ``repgame report`` prints. ``monte_carlo`` and
+``repgame.experiment`` find a mode only through ``MODES``.
 """
 from __future__ import annotations
 
@@ -69,6 +75,8 @@ logger = logging.getLogger("repgame")
 
 WORKERS_ENV = "REPGAME_WORKERS"
 SURVIVAL_GRID = (1, 10, 100, 1_000, 10_000, 100_000)
+DEFAULT_CONCLUSIVE_HORIZON = 10_000
+INCONCLUSIVE = "inconclusive: horizon certificate"
 
 
 @dataclass
@@ -135,9 +143,9 @@ class MonteCarloReport:
     base_seed: int
     estimates: dict
     intervals: dict
-    survival: list | None
     truncation_certificate: float
     rows: list
+    survival: list | None = None
     extras: dict = field(default_factory=dict)
 
 
@@ -207,15 +215,13 @@ class _Enforcement:
     ``observe(t, record)`` folds in round t's public record (the realized
     joint action, or the mixed profile under perfect monitoring) and returns
     True once punishment applies from round t + 1. Class attributes give the
-    monitoring the kind needs (None: either), its required EpisodeConfig
-    fields and the Monte Carlo modes it supports; ``cooperative_modes`` are
-    the ones that sample cooperative play only and so take no deviations.
+    monitoring the kind needs (None: either) and its required EpisodeConfig
+    fields. The kinds that Monte Carlo modes run under add per-replication
+    samplers (``type1_rep``, ``payoff_rep``) and the bounds the modes check.
     """
 
     monitoring = None
     needs = ()
-    modes = frozenset()
-    cooperative_modes = frozenset()
 
     def __init__(self, config: EpisodeConfig):
         self.config = config
@@ -232,7 +238,6 @@ class _Anytime(_Enforcement):
 
     monitoring = "imperfect"
     needs = ("gamma",)
-    modes = frozenset({"type1", "detection", "payoff", "gap"})
 
     def __init__(self, config: EpisodeConfig):
         super().__init__(config)
@@ -262,6 +267,11 @@ class _Anytime(_Enforcement):
     def payoff_lower_bound(config: EpisodeConfig):
         return (1.0 - config.gamma) * config.target.v
 
+    @staticmethod
+    def type1_bound(config: EpisodeConfig):
+        """The type-1 assertion's name and bound, and the per-batch bound (None here)."""
+        return "type1_rate_le_gamma", config.gamma, None
+
 
 class _Batch(_Enforcement):
     """One L1 batch test per player; rejection time kappa in batches.
@@ -272,8 +282,6 @@ class _Batch(_Enforcement):
 
     monitoring = "imperfect"
     needs = ("delta", "batch_length")
-    modes = frozenset({"type1", "payoff", "wrongful_curve"})
-    cooperative_modes = frozenset({"type1", "wrongful_curve"})
 
     def __init__(self, config: EpisodeConfig):
         super().__init__(config)
@@ -293,15 +301,15 @@ class _Batch(_Enforcement):
 
     @staticmethod
     def type1_rep(config: EpisodeConfig, rep: int):
-        kappas, _, onset, rejected, total = _batch_rep_counts(config, rep)
-        return kappas, onset, (rejected, total)
+        return _batch_rep_counts(config, rep)
 
     @staticmethod
     def payoff_rep(config: EpisodeConfig, rep: int):
         return _batch_rep_payoff(config, rep)
 
     @staticmethod
-    def payoff_lower_bound(config: EpisodeConfig):
+    def p_L(config: EpisodeConfig) -> float:
+        """The paper's bound on one batch's wrongful rejection probability."""
         p_l, _, _ = batch_error_bounds(
             config.game.max_action_count,
             config.game.num_players,
@@ -309,8 +317,21 @@ class _Batch(_Enforcement):
             config.delta,
             config.beta,
         )
+        return p_l
+
+    @staticmethod
+    def payoff_lower_bound(config: EpisodeConfig):
+        p_l = _Batch.p_L(config)
         beta_l = config.beta**config.batch_length
         return beta_l * (1.0 - p_l / (1.0 - beta_l)) * config.target.v
+
+    @staticmethod
+    def type1_bound(config: EpisodeConfig):
+        """The type-1 assertion's name and bound (a union over the horizon's
+        batches), and the per-batch bound p_L."""
+        p_l = _Batch.p_L(config)
+        horizon_batches = config.horizon // config.batch_length
+        return "type1_rate_le_union_p_L", min(1.0, p_l * horizon_batches), p_l
 
 
 class _Grim(_Enforcement):
@@ -487,8 +508,19 @@ def _spliced_payoff(config: EpisodeConfig, rep: int, streams: list, onset):
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo modes
+# Monte Carlo replications
 # ---------------------------------------------------------------------------
+
+
+def _onset(times, batch_length=None):
+    """Punishment onset round from the players' rejection times, or None.
+
+    A rejection at batch kappa punishes from round (kappa + 1) * batch_length.
+    """
+    finite = [t for t in times if t is not None]
+    if not finite:
+        return None
+    return min(finite) if batch_length is None else (min(finite) + 1) * batch_length
 
 
 def _anytime_rep(config: EpisodeConfig, rep: int, want_payoffs: bool):
@@ -500,8 +532,7 @@ def _anytime_rep(config: EpisodeConfig, rep: int, want_payoffs: bool):
         taus.append(
             _eprocess_tau(actions, config.target.cooperative[i].probs, config.gamma, n)
         )
-    finite = [t for t in taus if t is not None]
-    onset = min(finite) if finite else None
+    onset = _onset(taus)
     payoffs = (
         _spliced_payoff(config, rep, streams, onset) if want_payoffs else None
     )
@@ -509,9 +540,12 @@ def _anytime_rep(config: EpisodeConfig, rep: int, want_payoffs: bool):
 
 
 def _batch_rep_counts(config: EpisodeConfig, rep: int):
-    """Batch verdicts under cooperation, sampling batch counts directly."""
+    """Batch verdicts under cooperation, sampling batch counts directly.
+
+    The third item tallies (rejected, tested) batches over all players.
+    """
     num_batches = config.horizon // config.batch_length
-    kappas, rejected, total = [], 0, 0
+    kappas, rejected = [], 0
     for i in range(config.game.num_players):
         w = config.target.cooperative[i].probs
         rng = _stream(config.seed, rep, i, 0)
@@ -519,11 +553,8 @@ def _batch_rep_counts(config: EpisodeConfig, rep: int):
         kappa, verdicts = _batch_kappa(counts, w, config.delta)
         kappas.append(kappa)
         rejected += int(verdicts.sum())
-        total += num_batches
-    finite = [k for k in kappas if k is not None]
-    kappa = min(finite) if finite else None
-    onset = (kappa + 1) * config.batch_length if kappa is not None else None
-    return kappas, kappa, onset, rejected, total
+    tally = (rejected, num_batches * config.game.num_players)
+    return kappas, _onset(kappas, config.batch_length), tally
 
 
 def _batch_rep_payoff(config: EpisodeConfig, rep: int):
@@ -536,41 +567,339 @@ def _batch_rep_payoff(config: EpisodeConfig, rep: int):
         counts = _batch_counts(actions, config.batch_length, game.action_counts[i])
         kappa, _ = _batch_kappa(counts, config.target.cooperative[i].probs, config.delta)
         kappas.append(kappa)
-    finite = [k for k in kappas if k is not None]
-    kappa = min(finite) if finite else None
-    onset = (kappa + 1) * config.batch_length if kappa is not None else None
+    onset = _onset(kappas, config.batch_length)
     payoffs = _spliced_payoff(config, rep, streams, onset)
     return kappas, onset, payoffs
 
 
-def _base_row(config, mode, rep, onset, taus):
-    row = {"mode": mode, "variant": "baseline", "replication": rep,
-           "seed": config.seed, "punishment_onset": onset}
-    row.update((f"tau_{i}", tau) for i, tau in enumerate(taus))
-    return row
-
-
-def _report(config, mode, replications, rows, estimates, intervals,
-            survival=None, extras=None) -> MonteCarloReport:
-    return MonteCarloReport(
-        mode=mode,
-        replications=replications,
-        base_seed=config.seed,
-        estimates=estimates,
-        intervals=intervals,
-        survival=survival,
-        truncation_certificate=config.beta**config.horizon,
-        rows=rows,
-        extras=extras or {},
-    )
+def _replicate(config, mode, rep_fn, replications):
+    """Each replication's (times, onset, extra) from rep_fn, and its base row."""
+    results = _map_reps(lambda rep: rep_fn(config, rep), replications)
+    rows = []
+    for rep, (times, onset, _) in enumerate(results):
+        row = {"mode": mode, "variant": "baseline", "replication": rep,
+               "seed": config.seed, "punishment_onset": onset}
+        row.update((f"tau_{i}", time) for i, time in enumerate(times))
+        rows.append(row)
+    return results, rows
 
 
 def _rate_estimates(successes, n):
     return successes / n, wilson_interval(successes, n)
 
 
+def _assertion(name, status, observed, bound, note=""):
+    return {"name": name, "status": status, "observed": observed, "bound": bound,
+            "note": note}
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo modes
+# ---------------------------------------------------------------------------
+
+
+class _Mode:
+    """One Monte Carlo mode: where it is defined, how it runs, checks and reports.
+
+    ``kinds`` are the enforcement kinds that define the mode, and
+    ``cooperative`` the kinds under which it samples cooperative play only,
+    so it takes no deviations there. ``fields`` are the optional spec fields
+    its checks read, with their types. ``run(config, kind, replications)``
+    returns the MonteCarloReport's rows, estimates, intervals and, as the mode
+    needs, survival and extras; ``checks(spec, config, report)`` gives its
+    assertions, and ``tables(summary)`` the blocks ``repgame report`` prints
+    for it: each a ``(headers, rows)`` table or one line of text.
+    """
+
+    kinds = frozenset()
+    cooperative = frozenset()
+    fields = {}
+
+
+class _Type1(_Mode):
+    """Wrongful-punishment rate under cooperation."""
+
+    kinds = frozenset({"anytime", "batch"})
+    cooperative = frozenset({"batch"})
+    fields = {"conclusive_horizon": int}
+
+    def run(self, config, kind, replications):
+        results, rows = _replicate(config, "type1", kind.type1_rep, replications)
+        punished = sum(onset is not None and onset <= config.horizon
+                       for _, onset, _ in results)
+        rate, interval = _rate_estimates(punished, replications)
+        estimates = {"punished_rate_censored": rate, "punished": punished}
+        intervals = {"punished_rate_censored": interval}
+        # The batch kind's third item counts (rejected, tested) batches; anytime's is None.
+        tallies = [tally for _, _, tally in results if tally is not None]
+        if tallies:
+            rejected, total = (sum(column) for column in zip(*tallies))
+            batch_rate, batch_interval = _rate_estimates(rejected, total)
+            estimates.update(per_batch_rejection_rate=batch_rate, rejected_batches=rejected,
+                             cooperative_batches=total)
+            intervals["per_batch_rejection_rate"] = batch_interval
+        return {"rows": rows, "estimates": estimates, "intervals": intervals}
+
+    def checks(self, spec, config, report):
+        """The rate against the kind's type-1 bound, and batch rejections against p_L.
+
+        Over censored data the rate passes only when the horizon reaches the
+        conclusive threshold; below it a non-violating rate is inconclusive
+        because unobserved rejections past T cannot be excluded.
+        """
+        name, bound, p_l = _KINDS[config.enforcement].type1_bound(config)
+        out = []
+        if p_l is not None:
+            batch_rate = report.estimates["per_batch_rejection_rate"]
+            _, batch_upper = report.intervals["per_batch_rejection_rate"]
+            slack = max(p_l, batch_upper - batch_rate)
+            status = "pass" if batch_rate <= p_l + slack else "fail"
+            out.append(_assertion("per_batch_rate_le_p_L", status, batch_rate, p_l))
+        rate = report.estimates["punished_rate_censored"]
+        _, upper = report.intervals["punished_rate_censored"]
+        slack = upper - rate
+        if rate > bound + slack:
+            status = "fail"
+        elif config.horizon < int(spec.get("conclusive_horizon", DEFAULT_CONCLUSIVE_HORIZON)):
+            status = INCONCLUSIVE
+        else:
+            status = "pass"
+        out.append(_assertion(
+            name, status, rate, bound,
+            note="censored lower bound on the wrongful-punishment probability",
+        ))
+        return out
+
+    def tables(self, summary):
+        est, intervals = summary["estimates"], summary["intervals"]
+        rows = [
+            [label, f"{est[key]:.6g}", "[{:.6g}, {:.6g}]".format(*intervals[key])]
+            for label, key in (("punished rate (censored)", "punished_rate_censored"),
+                               ("per-batch rejection rate", "per_batch_rejection_rate"))
+            if key in est
+        ]
+        return [(["estimate", "value", "wilson 95% CI"], rows)]
+
+
+class _Detection(_Mode):
+    """Rejection times against a declared deviation."""
+
+    kinds = frozenset({"anytime"})
+    fields = {"min_detection_rate": float}
+
+    def run(self, config, kind, replications):
+        if not config.deviations:
+            raise GameError("detection mode needs at least one declared deviation")
+        results, rows = _replicate(config, "detection", kind.type1_rep, replications)
+        onsets = [onset for _, onset, _ in results]
+        detected = sum(o is not None for o in onsets)
+        censored = np.array(
+            [config.horizon if o is None else o for o in onsets], dtype=float
+        )
+        rate, interval = _rate_estimates(detected, replications)
+        grid = [t for t in SURVIVAL_GRID if t <= config.horizon]
+        survival = [(t, float(np.mean(censored >= t))) for t in grid]
+        mean_tau = float(censored.mean())
+        half_width = 1.96 * censored.std(ddof=1) / math.sqrt(replications)
+        estimates = {
+            "detected_rate": rate,
+            "mean_tau_censored": mean_tau,
+            "median_tau_censored": float(np.median(censored)),
+            "q90_tau_censored": float(np.quantile(censored, 0.9)),
+        }
+        intervals = {
+            "detected_rate": interval,
+            "mean_tau_censored": (mean_tau - half_width, mean_tau + half_width),
+        }
+        return {"rows": rows, "estimates": estimates, "intervals": intervals,
+                "survival": survival}
+
+    def checks(self, spec, config, report):
+        minimum = spec.get("min_detection_rate")
+        if minimum is None:
+            return []
+        rate = report.estimates["detected_rate"]
+        status = "pass" if rate >= float(minimum) else "fail"
+        return [_assertion("detected_rate_ge_min", status, rate, float(minimum))]
+
+    def tables(self, summary):
+        est = summary["estimates"]
+        rows = [[label, f"{est[key]:.6g}"] for label, key in (
+            ("detected rate", "detected_rate"),
+            ("mean tau (censored)", "mean_tau_censored"),
+            ("median tau (censored)", "median_tau_censored"),
+            ("q90 tau (censored)", "q90_tau_censored"),
+        )]
+        blocks = [(["estimate", "value"], rows)]
+        if summary.get("survival"):
+            blocks.append((["t", "P(tau >= t)"],
+                           [[t, f"{p:.6g}"] for t, p in summary["survival"]]))
+        return blocks
+
+
+class _Payoff(_Mode):
+    """Discounted payoff estimates against the theoretical sandwich."""
+
+    kinds = frozenset({"anytime", "batch"})
+
+    def run(self, config, kind, replications):
+        results, rows = _replicate(config, "payoff", kind.payoff_rep, replications)
+        for row, (_, _, payoffs) in zip(rows, results):
+            row.update((f"payoff_{i}", payoff) for i, payoff in enumerate(payoffs))
+        payoff_matrix = np.array([payoffs for _, _, payoffs in results])
+        mean = payoff_matrix.mean(axis=0)
+        se = payoff_matrix.std(axis=0, ddof=1) / math.sqrt(replications)
+        estimates = {"mean_payoff": mean.tolist(), "payoff_se": se.tolist()}
+        intervals = {
+            "mean_payoff": [(m - 1.96 * s, m + 1.96 * s) for m, s in zip(mean, se)]
+        }
+        extras = {
+            "theoretical_lower": kind.payoff_lower_bound(config).tolist(),
+            "theoretical_upper": config.target.v.tolist(),
+        }
+        return {"rows": rows, "estimates": estimates, "intervals": intervals,
+                "extras": extras}
+
+    def checks(self, spec, config, report):
+        lower = report.extras["theoretical_lower"]
+        upper = report.extras["theoretical_upper"]
+        mean, se = report.estimates["mean_payoff"], report.estimates["payoff_se"]
+        cert = report.truncation_certificate
+        out = []
+        for i in range(config.game.num_players):
+            # Stage payoffs lie in [0, 1], so truncating at T lowers the
+            # mean by at most beta^T: the certificate widens the lower side.
+            ok = lower[i] - 3.0 * se[i] - cert <= mean[i] <= upper[i] + 3.0 * se[i]
+            out.append(_assertion(
+                f"payoff_sandwich_player_{i}", "pass" if ok else "fail", mean[i],
+                [lower[i], upper[i]],
+                note="bounds widened by 3 SE (- truncation certificate below)",
+            ))
+        return out
+
+    def tables(self, summary):
+        lower = summary["extras"]["theoretical_lower"]
+        upper = summary["extras"]["theoretical_upper"]
+        rows = [[i, f"{lower[i]:.6g}", f"{m:.6g}", f"{upper[i]:.6g}"]
+                for i, m in enumerate(summary["estimates"]["mean_payoff"])]
+        return [(["player", "lower bound", "estimate", "v"], rows)]
+
+
+class _Gap(_Mode):
+    """Max estimated deviation gain over the configured family.
+
+    An explicit under-approximation of the sup over all strategies: only the
+    configured finite family is searched.
+    """
+
+    kinds = frozenset({"anytime"})
+    fields = {"gap_epsilon": float}
+
+    def run(self, config, kind, replications):
+        if not config.gap_family:
+            raise GameError("gap mode needs a configured deviation family")
+        baseline = MODES["payoff"].run(replace(config, deviations={}), kind, replications)
+        base_mean = np.asarray(baseline["estimates"]["mean_payoff"])
+        base_se = np.asarray(baseline["estimates"]["payoff_se"])
+        rows, table = list(baseline["rows"]), []
+        for label, player, strategy in config.gap_family:
+            dev_config = replace(config, deviations={player: strategy})
+            dev_report = MODES["payoff"].run(dev_config, kind, replications)
+            dev_mean = dev_report["estimates"]["mean_payoff"][player]
+            dev_se = dev_report["estimates"]["payoff_se"][player]
+            gain = dev_mean - base_mean[player]
+            gain_se = math.sqrt(dev_se**2 + base_se[player] ** 2)
+            table.append({"label": label, "player": player, "gain": gain, "gain_se": gain_se})
+            rows.extend({**row, "mode": "gap", "variant": label} for row in dev_report["rows"])
+        best = max(table, key=lambda entry: entry["gain"])  # the first of equal gains
+        max_gain, max_gain_se = best["gain"], best["gain_se"]
+        estimates = {
+            "max_gain": max_gain,
+            "max_gain_se": max_gain_se,
+            "max_gain_label": best["label"],
+            "baseline_payoff": base_mean.tolist(),
+        }
+        intervals = {"max_gain": (max_gain - 1.96 * max_gain_se, max_gain + 1.96 * max_gain_se)}
+        return {"rows": rows, "estimates": estimates, "intervals": intervals,
+                "extras": {"family": table}}
+
+    def checks(self, spec, config, report):
+        epsilon = spec.get("gap_epsilon")
+        if epsilon is None:
+            return []
+        bound = float(epsilon) + config.gamma
+        gain, se = report.estimates["max_gain"], report.estimates["max_gain_se"]
+        status = "pass" if gain <= bound + 3.0 * se else "fail"
+        return [_assertion("max_gain_le_eps_plus_gamma", status, gain, bound,
+                           note="bound widened by 3 SE")]
+
+    def tables(self, summary):
+        est = summary["estimates"]
+        rows = [[e["label"], e["player"], f"{e['gain']:.6g}", f"{e['gain_se']:.3g}"]
+                for e in summary["extras"]["family"]]
+        return [(["deviation", "player", "gain", "se"], rows),
+                f"max gain: {est['max_gain']:.6g} ({est['max_gain_label']})"]
+
+
+class _WrongfulCurve(_Mode):
+    """Punished fraction at nested horizons under cooperation."""
+
+    kinds = frozenset({"batch"})
+    cooperative = frozenset({"batch"})
+
+    def run(self, config, kind, replications):
+        horizons = [h for h in (config.curve_horizons or SURVIVAL_GRID[3:])
+                    if h <= config.horizon]
+        if not horizons:
+            raise GameError("no curve horizons within the configured horizon")
+        results, rows = _replicate(config, "wrongful_curve", kind.type1_rep, replications)
+        onsets = np.array([math.inf if onset is None else onset for _, onset, _ in results])
+        # Single-actioned batches always reject when delta allows; this gives
+        # an analytic lower bound on the punished fraction.
+        w0 = config.target.cooperative[0].probs
+        p_star = float(np.sum(w0**config.batch_length))
+        bound_valid = all(
+            2.0 * (1.0 - w0[a]) >= config.delta for a in range(w0.size) if w0[a] > 0
+        )
+        curve = []
+        for h in horizons:
+            frac = float(np.mean(onsets <= h))
+            batches = h // config.batch_length
+            bound = 1.0 - (1.0 - p_star) ** batches if bound_valid else None
+            curve.append(
+                {"horizon": h, "punished_fraction": frac, "analytic_lower_bound": bound}
+            )
+        return {"rows": rows, "estimates": {"curve": curve}, "intervals": {},
+                "extras": {"curve": curve}}
+
+    def checks(self, spec, config, report):
+        curve = report.estimates["curve"]
+        fracs = [point["punished_fraction"] for point in curve]
+        monotone = all(a <= b + 1e-12 for a, b in zip(fracs, fracs[1:]))
+        out = [_assertion("punished_fraction_nondecreasing",
+                          "pass" if monotone else "fail", fracs, None)]
+        last = curve[-1]
+        if last["analytic_lower_bound"] is not None:
+            ok = last["punished_fraction"] >= last["analytic_lower_bound"]
+            out.append(_assertion("final_fraction_ge_analytic_bound",
+                                  "pass" if ok else "fail",
+                                  last["punished_fraction"], last["analytic_lower_bound"]))
+        return out
+
+    def tables(self, summary):
+        rows = [[p["horizon"], f"{p['punished_fraction']:.6g}",
+                 "-" if p["analytic_lower_bound"] is None
+                 else f"{p['analytic_lower_bound']:.6g}"]
+                for p in summary["estimates"]["curve"]]
+        return [(["horizon", "punished fraction", "analytic lower bound"], rows)]
+
+
+MODES = {"type1": _Type1(), "detection": _Detection(), "payoff": _Payoff(), "gap": _Gap(),
+         "wrongful_curve": _WrongfulCurve()}
+
+
 def monte_carlo(config: EpisodeConfig, mode: str, replications: int) -> MonteCarloReport:
-    """Run a Monte Carlo experiment in one of the supported modes.
+    """Run a Monte Carlo experiment in one of the modes of ``MODES``.
 
     Modes: ``type1`` (wrongful-punishment rate under cooperation),
     ``detection`` (rejection times against a declared deviation), ``payoff``
@@ -580,161 +909,17 @@ def monte_carlo(config: EpisodeConfig, mode: str, replications: int) -> MonteCar
     """
     if replications < 1:
         raise GameError("need at least one replication")
-    dispatch = {
-        "type1": _mc_type1,
-        "detection": _mc_detection,
-        "payoff": _mc_payoff,
-        "gap": _mc_gap,
-        "wrongful_curve": _mc_wrongful_curve,
-    }
-    if mode not in dispatch:
+    if mode not in MODES:
         raise GameError(f"unknown Monte Carlo mode {mode!r}")
-    kind = _KINDS[config.enforcement]
-    if mode not in kind.modes:
+    entry = MODES[mode]
+    if config.enforcement not in entry.kinds:
         raise GameError(f"{mode} mode is not defined for {config.enforcement} enforcement")
-    if config.deviations and mode in kind.cooperative_modes:
+    if config.deviations and config.enforcement in entry.cooperative:
         raise GameError(f"{mode} mode is not defined for {config.enforcement} enforcement "
                         "with declared deviations: it samples cooperative play only")
-    return dispatch[mode](config, kind, replications)
-
-
-def _mc_type1(config: EpisodeConfig, kind, replications: int) -> MonteCarloReport:
-    results = _map_reps(lambda rep: kind.type1_rep(config, rep), replications)
-    rows, punished = [], 0
-    for rep, (taus, onset, _) in enumerate(results):
-        punished += onset is not None and onset <= config.horizon
-        rows.append(_base_row(config, "type1", rep, onset, taus))
-    rate, interval = _rate_estimates(punished, replications)
-    estimates = {"punished_rate_censored": rate, "punished": punished}
-    intervals = {"punished_rate_censored": interval}
-    # The batch kind's third item counts (rejected, tested) batches; anytime's is None.
-    tallies = [tally for _, _, tally in results if tally is not None]
-    if tallies:
-        rejected, total = (sum(column) for column in zip(*tallies))
-        batch_rate, batch_interval = _rate_estimates(rejected, total)
-        estimates.update(per_batch_rejection_rate=batch_rate, rejected_batches=rejected,
-                         cooperative_batches=total)
-        intervals["per_batch_rejection_rate"] = batch_interval
-    return _report(config, "type1", replications, rows, estimates, intervals)
-
-
-def _mc_detection(config: EpisodeConfig, kind, replications: int) -> MonteCarloReport:
-    if not config.deviations:
-        raise GameError("detection mode needs at least one declared deviation")
-    results = _map_reps(
-        lambda rep: _anytime_rep(config, rep, want_payoffs=False), replications
-    )
-    rows, onsets = [], []
-    for rep, (taus, onset, _) in enumerate(results):
-        onsets.append(onset)
-        rows.append(_base_row(config, "detection", rep, onset, taus))
-    detected = sum(o is not None for o in onsets)
-    censored = np.array(
-        [config.horizon if o is None else o for o in onsets], dtype=float
-    )
-    rate, interval = _rate_estimates(detected, replications)
-    grid = [t for t in SURVIVAL_GRID if t <= config.horizon]
-    survival = [(t, float(np.mean(censored >= t))) for t in grid]
-    mean_tau = float(censored.mean())
-    half_width = 1.96 * censored.std(ddof=1) / math.sqrt(replications)
-    estimates = {
-        "detected_rate": rate,
-        "mean_tau_censored": mean_tau,
-        "median_tau_censored": float(np.median(censored)),
-        "q90_tau_censored": float(np.quantile(censored, 0.9)),
-    }
-    intervals = {
-        "detected_rate": interval,
-        "mean_tau_censored": (mean_tau - half_width, mean_tau + half_width),
-    }
-    return _report(config, "detection", replications, rows, estimates, intervals,
-                   survival=survival)
-
-
-def _mc_payoff(config: EpisodeConfig, kind, replications: int) -> MonteCarloReport:
-    payoff_rows = _map_reps(lambda rep: kind.payoff_rep(config, rep), replications)
-    n = config.game.num_players
-    rows, payoff_matrix = [], np.empty((replications, n))
-    for rep, (taus, onset, payoffs) in enumerate(payoff_rows):
-        payoff_matrix[rep] = payoffs
-        row = _base_row(config, "payoff", rep, onset, taus)
-        row.update((f"payoff_{i}", payoff) for i, payoff in enumerate(payoffs))
-        rows.append(row)
-    mean = payoff_matrix.mean(axis=0)
-    se = payoff_matrix.std(axis=0, ddof=1) / math.sqrt(replications)
-    estimates = {"mean_payoff": mean.tolist(), "payoff_se": se.tolist()}
-    intervals = {
-        "mean_payoff": [(m - 1.96 * s, m + 1.96 * s) for m, s in zip(mean, se)]
-    }
-    extras = {
-        "theoretical_lower": kind.payoff_lower_bound(config).tolist(),
-        "theoretical_upper": config.target.v.tolist(),
-    }
-    return _report(config, "payoff", replications, rows, estimates, intervals, extras=extras)
-
-
-def _mc_gap(config: EpisodeConfig, kind, replications: int) -> MonteCarloReport:
-    """Max estimated deviation gain over the configured family.
-
-    An explicit under-approximation of the sup over all strategies: only the
-    configured finite family is searched.
-    """
-    if not config.gap_family:
-        raise GameError("gap mode needs a configured deviation family")
-    baseline = _mc_payoff(replace(config, deviations={}), kind, replications)
-    base_mean = np.asarray(baseline.estimates["mean_payoff"])
-    base_se = np.asarray(baseline.estimates["payoff_se"])
-    rows, table = list(baseline.rows), []
-    for label, player, strategy in config.gap_family:
-        dev_config = replace(config, deviations={player: strategy})
-        dev_report = _mc_payoff(dev_config, kind, replications)
-        dev_mean = dev_report.estimates["mean_payoff"][player]
-        dev_se = dev_report.estimates["payoff_se"][player]
-        gain = dev_mean - base_mean[player]
-        gain_se = math.sqrt(dev_se**2 + base_se[player] ** 2)
-        table.append({"label": label, "player": player, "gain": gain, "gain_se": gain_se})
-        rows.extend({**row, "mode": "gap", "variant": label} for row in dev_report.rows)
-    best = max(table, key=lambda entry: entry["gain"])  # the first of equal gains
-    max_gain, max_gain_se = best["gain"], best["gain_se"]
-    estimates = {
-        "max_gain": max_gain,
-        "max_gain_se": max_gain_se,
-        "max_gain_label": best["label"],
-        "baseline_payoff": base_mean.tolist(),
-    }
-    intervals = {"max_gain": (max_gain - 1.96 * max_gain_se, max_gain + 1.96 * max_gain_se)}
-    return _report(config, "gap", replications, rows, estimates, intervals,
-                   extras={"family": table})
-
-
-def _mc_wrongful_curve(config: EpisodeConfig, kind, replications: int) -> MonteCarloReport:
-    horizons = [h for h in (config.curve_horizons or SURVIVAL_GRID[3:]) if h <= config.horizon]
-    if not horizons:
-        raise GameError("no curve horizons within the configured horizon")
-    results = _map_reps(lambda rep: _batch_rep_counts(config, rep), replications)
-    rows, onsets = [], []
-    for rep, (kappas, kappa, onset, _, _) in enumerate(results):
-        onsets.append(onset if onset is not None else math.inf)
-        rows.append(_base_row(config, "wrongful_curve", rep, onset, kappas))
-    onsets = np.array(onsets)
-    # Single-actioned batches always reject when delta allows; this gives
-    # an analytic lower bound on the punished fraction.
-    w0 = config.target.cooperative[0].probs
-    p_star = float(np.sum(w0**config.batch_length))
-    bound_valid = all(
-        2.0 * (1.0 - w0[a]) >= config.delta for a in range(w0.size) if w0[a] > 0
-    )
-    curve = []
-    for h in horizons:
-        frac = float(np.mean(onsets <= h))
-        batches = h // config.batch_length
-        bound = 1.0 - (1.0 - p_star) ** batches if bound_valid else None
-        curve.append(
-            {"horizon": h, "punished_fraction": frac, "analytic_lower_bound": bound}
-        )
-    estimates = {"curve": curve}
-    return _report(config, "wrongful_curve", replications, rows, estimates, {},
-                   extras={"curve": curve})
+    return MonteCarloReport(mode=mode, replications=replications, base_seed=config.seed,
+                            truncation_certificate=config.beta**config.horizon,
+                            **entry.run(config, _KINDS[config.enforcement], replications))
 
 
 # ---------------------------------------------------------------------------

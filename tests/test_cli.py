@@ -267,6 +267,16 @@ class TestEmitReport:
         assert "punished rate (censored)" in text
         assert "wilson" in text.lower()
 
+    def test_unknown_mode_in_summary_exits_1(self, tmp_path, capsys):
+        run_experiment(write_spec(tmp_path, base_spec()))
+        summary_path = tmp_path / "out" / "summary.json"
+        summary = json.loads(summary_path.read_text())
+        summary_path.write_text(json.dumps({**summary, "mode": "bootstrap"}))
+        assert main(["report", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "bootstrap" in err
+
     def test_idempotent(self, tmp_path):
         run_experiment(write_spec(tmp_path, base_spec()))
         assert emit_report(tmp_path / "out") == emit_report(tmp_path / "out")
