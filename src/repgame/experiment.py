@@ -115,6 +115,14 @@ def _resolve_target(doc: dict, game: StageGame) -> PayoffTarget:
         raise SpecError(f"invalid target: {exc}") from exc
 
 
+# Top-level spec fields with their types; each mode in MODES adds the
+# fields its checks read.
+_SPEC_FIELDS = {
+    "mode": str, "replications": int, "horizon": int, "beta": float, "seed": int,
+    "enforcement": dict, "deviations": list, "gap_family": list,
+    "curve_horizons": [int], "output_dir": str,
+}
+
 # Spec fields of each enforcement kind, with their types.
 _ENFORCEMENT_FIELDS = {
     "anytime": {"gamma": float},
@@ -124,19 +132,49 @@ _ENFORCEMENT_FIELDS = {
 }
 
 
-def _resolve_enforcement(doc: dict) -> dict:
-    spec = doc["enforcement"]
-    kind = spec.get("kind")
-    if kind not in _ENFORCEMENT_FIELDS:
-        raise SpecError(f"unknown enforcement kind {kind!r}")
-    resolved = {"kind": kind}
-    for name, cast in _ENFORCEMENT_FIELDS[kind].items():
-        value = _require(spec, name)
+def _typed(where: str, name: str, value, kind):
+    """``value`` read as ``kind``, or a SpecError naming the field.
+
+    A number field takes a number or a numeric string, never a boolean; an
+    int field takes an integral float such as 1e5, but not 10.7. ``[kind]``
+    reads a list of ``kind``.
+    """
+    if isinstance(kind, list):
+        return [_typed(where, name, v, kind[0]) for v in _typed(where, name, value, list)]
+    if kind in (str, list, dict):
+        ok = isinstance(value, kind)
+    else:  # int or float
+        ok = isinstance(value, (int, float, str)) and not isinstance(value, bool)
+        if kind is int and isinstance(value, float):
+            ok = value.is_integer()
+    if ok:
         try:
-            resolved[name] = cast(value)
-        except (TypeError, ValueError):
-            raise SpecError(f"invalid enforcement field {name!r}: {value!r}") from None
-    return resolved
+            return kind(value)
+        except ValueError:
+            pass
+    raise SpecError(f"invalid {where} field {name!r}: {value!r}")
+
+
+def _read_fields(where: str, doc: dict, fields: dict) -> dict:
+    return {name: _typed(where, name, doc[name], kind)
+            for name, kind in fields.items() if name in doc}
+
+
+def _mode(name):
+    """The MODES entry of a mode name, or a SpecError."""
+    if not isinstance(name, str) or name not in MODES:
+        raise SpecError(f"unknown Monte Carlo mode {name!r}")
+    return MODES[name]
+
+
+def _resolve_enforcement(spec: dict) -> dict:
+    kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in _ENFORCEMENT_FIELDS:
+        raise SpecError(f"unknown enforcement kind {kind!r}")
+    fields = _ENFORCEMENT_FIELDS[kind]
+    for name in fields:
+        _require(spec, name)
+    return {"kind": kind, **_read_fields("enforcement", spec, fields)}
 
 
 def _build_strategy(entry: dict, game: StageGame, target: PayoffTarget,
@@ -155,11 +193,16 @@ def _build_strategy(entry: dict, game: StageGame, target: PayoffTarget,
 
 
 def build_config(doc: dict, base_dir: Path | None = None):
-    """Resolve a spec document into an EpisodeConfig plus resolved metadata."""
+    """Resolve a spec document into an EpisodeConfig plus resolved metadata.
+
+    Every field is read and typed here, before any replication runs.
+    """
     base_dir = base_dir or Path.cwd()
+    fields = _read_fields("spec", doc, _SPEC_FIELDS)
+    fields.update(_read_fields("spec", doc, _mode(fields.get("mode")).fields))
     game = _resolve_game(doc, base_dir)
     target = _resolve_target(doc, game)
-    enforcement = _resolve_enforcement(doc)
+    enforcement = _resolve_enforcement(fields["enforcement"])
     if enforcement["kind"] == "batch_tuned":
         try:
             schedule = tuned_batch_params(
@@ -175,20 +218,20 @@ def build_config(doc: dict, base_dir: Path | None = None):
             "beta_pow_l_window": list(schedule.beta_pow_l_window),
         }
     deviations = {}
-    for entry in doc.get("deviations", []):
+    for entry in fields.get("deviations", []):
         player, strategy = _build_strategy(entry, game, target, enforcement)
         deviations[player] = strategy
     gap_family = []
-    for entry in doc.get("gap_family", []):
+    for entry in fields.get("gap_family", []):
         player, strategy = _build_strategy(entry, game, target, enforcement)
         gap_family.append((entry.get("label", entry.get("kind")), player, strategy))
     try:
         config = EpisodeConfig(
             game=game,
             target=target,
-            beta=float(doc["beta"]),
-            horizon=int(doc["horizon"]),
-            seed=int(doc["seed"]),
+            beta=fields["beta"],
+            horizon=fields["horizon"],
+            seed=fields["seed"],
             monitoring=doc.get("monitoring", "imperfect"),
             enforcement=enforcement["kind"],
             gamma=enforcement.get("gamma"),
@@ -196,11 +239,11 @@ def build_config(doc: dict, base_dir: Path | None = None):
             batch_length=enforcement.get("batch_length"),
             deviations=deviations,
             gap_family=gap_family,
-            curve_horizons=tuple(doc.get("curve_horizons", ())),
+            curve_horizons=tuple(fields.get("curve_horizons", ())),
         )
     except GameError as exc:
         raise SpecError(f"invalid episode configuration: {exc}") from exc
-    resolved = dict(doc)
+    resolved = {**doc, **fields}
     resolved["schema_version"] = SCHEMA_VERSION
     resolved["enforcement"] = enforcement
     resolved["target"] = {
@@ -282,17 +325,16 @@ def run_experiment(spec_path, output_dir=None) -> int:
     try:
         doc = load_spec(spec_path)
         base_dir = Path(spec_path).resolve().parent
-        config, enforcement, resolved = build_config(doc, base_dir)
-        out_dir = Path(output_dir or doc.get("output_dir", "results"))
-        if not out_dir.is_absolute():
-            out_dir = base_dir / out_dir
-        mode = doc["mode"]
-        replications = int(doc["replications"])
-        report = monte_carlo(config, mode, replications)
+        config, _, resolved = build_config(doc, base_dir)
+        # --output-dir is relative to the working directory, the spec's own
+        # output_dir to the spec file.
+        out_dir = (Path(output_dir) if output_dir
+                   else base_dir / resolved.get("output_dir", "results"))
+        report = monte_carlo(config, resolved["mode"], resolved["replications"])
     except (SpecError, GameError, ConfigurationError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    assertions = evaluate_assertions(doc, config, report)
+    assertions = evaluate_assertions(resolved, config, report)
     out_dir.mkdir(parents=True, exist_ok=True)
     experiment_id = doc.get("experiment_id", Path(spec_path).stem)
     write_rows(out_dir / "rows.csv", report, experiment_id, config.game.num_players)
@@ -349,9 +391,7 @@ def emit_report(result_dir) -> str:
             rows = list(csv.DictReader(fh))
         except csv.Error as exc:
             raise SpecError(f"corrupt rows file: {exc}") from exc
-    mode = MODES.get(summary["mode"]) if isinstance(summary["mode"], str) else None
-    if mode is None:
-        raise SpecError(f"unknown Monte Carlo mode {summary['mode']!r} in {summary_path}")
+    mode = _mode(summary["mode"])
     sections = [
         f"experiment: {summary['experiment_id']}",
         f"mode: {summary['mode']}   replications: {summary['replications']}   "

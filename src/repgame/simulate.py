@@ -604,16 +604,19 @@ class _Mode:
     ``kinds`` are the enforcement kinds that define the mode, and
     ``cooperative`` the kinds under which it samples cooperative play only,
     so it takes no deviations there. ``fields`` are the optional spec fields
-    its checks read, with their types. ``run(config, kind, replications)``
-    returns the MonteCarloReport's rows, estimates, intervals and, as the mode
-    needs, survival and extras; ``checks(spec, config, report)`` gives its
-    assertions, and ``tables(summary)`` the blocks ``repgame report`` prints
-    for it: each a ``(headers, rows)`` table or one line of text.
+    its checks read, with their types, and ``min_replications`` the fewest
+    replications its estimates are defined for.
+    ``run(config, kind, replications)`` returns the MonteCarloReport's rows,
+    estimates, intervals and, as the mode needs, survival and extras;
+    ``checks(spec, config, report)`` gives its assertions, and
+    ``tables(summary)`` the blocks ``repgame report`` prints for it: each a
+    ``(headers, rows)`` table or one line of text.
     """
 
     kinds = frozenset()
     cooperative = frozenset()
     fields = {}
+    min_replications = 1
 
 
 class _Type1(_Mode):
@@ -660,7 +663,7 @@ class _Type1(_Mode):
         slack = upper - rate
         if rate > bound + slack:
             status = "fail"
-        elif config.horizon < int(spec.get("conclusive_horizon", DEFAULT_CONCLUSIVE_HORIZON)):
+        elif config.horizon < spec.get("conclusive_horizon", DEFAULT_CONCLUSIVE_HORIZON):
             status = INCONCLUSIVE
         else:
             status = "pass"
@@ -686,6 +689,7 @@ class _Detection(_Mode):
 
     kinds = frozenset({"anytime"})
     fields = {"min_detection_rate": float}
+    min_replications = 2  # the sample sd of the detection times
 
     def run(self, config, kind, replications):
         if not config.deviations:
@@ -719,8 +723,8 @@ class _Detection(_Mode):
         if minimum is None:
             return []
         rate = report.estimates["detected_rate"]
-        status = "pass" if rate >= float(minimum) else "fail"
-        return [_assertion("detected_rate_ge_min", status, rate, float(minimum))]
+        status = "pass" if rate >= minimum else "fail"
+        return [_assertion("detected_rate_ge_min", status, rate, minimum)]
 
     def tables(self, summary):
         est = summary["estimates"]
@@ -741,6 +745,7 @@ class _Payoff(_Mode):
     """Discounted payoff estimates against the theoretical sandwich."""
 
     kinds = frozenset({"anytime", "batch"})
+    min_replications = 2  # the payoff SE
 
     def run(self, config, kind, replications):
         results, rows = _replicate(config, "payoff", kind.payoff_rep, replications)
@@ -794,6 +799,7 @@ class _Gap(_Mode):
 
     kinds = frozenset({"anytime"})
     fields = {"gap_epsilon": float}
+    min_replications = 2  # the payoff SE
 
     def run(self, config, kind, replications):
         if not config.gap_family:
@@ -827,7 +833,7 @@ class _Gap(_Mode):
         epsilon = spec.get("gap_epsilon")
         if epsilon is None:
             return []
-        bound = float(epsilon) + config.gamma
+        bound = epsilon + config.gamma
         gain, se = report.estimates["max_gain"], report.estimates["max_gain_se"]
         status = "pass" if gain <= bound + 3.0 * se else "fail"
         return [_assertion("max_gain_le_eps_plus_gamma", status, gain, bound,
@@ -878,12 +884,15 @@ class _WrongfulCurve(_Mode):
         monotone = all(a <= b + 1e-12 for a, b in zip(fracs, fracs[1:]))
         out = [_assertion("punished_fraction_nondecreasing",
                           "pass" if monotone else "fail", fracs, None)]
-        last = curve[-1]
-        if last["analytic_lower_bound"] is not None:
-            ok = last["punished_fraction"] >= last["analytic_lower_bound"]
-            out.append(_assertion("final_fraction_ge_analytic_bound",
-                                  "pass" if ok else "fail",
-                                  last["punished_fraction"], last["analytic_lower_bound"]))
+        frac, bound = curve[-1]["punished_fraction"], curve[-1]["analytic_lower_bound"]
+        if bound is not None:
+            n = report.replications
+            _, upper = wilson_interval(round(frac * n), n)
+            out.append(_assertion(
+                "final_fraction_ge_analytic_bound", "pass" if upper >= bound else "fail",
+                frac, bound,
+                note="fails only when the Wilson 95% upper limit is below the bound",
+            ))
         return out
 
     def tables(self, summary):
@@ -907,11 +916,11 @@ def monte_carlo(config: EpisodeConfig, mode: str, replications: int) -> MonteCar
     (max estimated deviation gain over a configured family), and
     ``wrongful_curve`` (punished fraction at nested horizons, batch only).
     """
-    if replications < 1:
-        raise GameError("need at least one replication")
     if mode not in MODES:
         raise GameError(f"unknown Monte Carlo mode {mode!r}")
     entry = MODES[mode]
+    if replications < entry.min_replications:
+        raise GameError(f"{mode} mode needs replications >= {entry.min_replications}")
     if config.enforcement not in entry.kinds:
         raise GameError(f"{mode} mode is not defined for {config.enforcement} enforcement")
     if config.deviations and config.enforcement in entry.cooperative:

@@ -212,6 +212,85 @@ class TestRunExperiment:
         assert len(err.strip().splitlines()) == 1
         assert field in err
 
+    @pytest.mark.parametrize("overrides, field", [
+        (dict(horizon="abc"), "horizon"),
+        (dict(horizon=200.9), "horizon"),
+        (dict(replications="abc"), "replications"),
+        (dict(replications=True), "replications"),
+        (dict(beta="x"), "beta"),
+        (dict(seed=3.5), "seed"),
+        (dict(enforcement="anytime"), "enforcement"),
+        (dict(enforcement={"kind": "batch", "delta": 0.3, "batch_length": 10.7}),
+         "batch_length"),
+        (dict(deviations=5), "deviations"),
+        (dict(mode="wrongful_curve", enforcement=BATCH_10, curve_horizons="ab"),
+         "curve_horizons"),
+        (dict(mode="wrongful_curve", enforcement=BATCH_10, curve_horizons=[100, "x"]),
+         "curve_horizons"),
+        (dict(mode="detection", min_detection_rate="x",
+              deviations=[{"kind": "stationary", "player": 0, "probs": [0.9, 0.1]}]),
+         "min_detection_rate"),
+        (dict(mode="gap", gap_family=GAP_FAMILY, gap_epsilon="x"), "gap_epsilon"),
+        (dict(conclusive_horizon="x"), "conclusive_horizon"),
+        (dict(mode=["type1"]), "mode"),
+        (dict(output_dir=5), "output_dir"),
+    ])
+    def test_bad_spec_field_exits_1_naming_the_field(self, tmp_path, capsys, overrides, field):
+        # Every field is read before any replication runs, so nothing is written.
+        spec = base_spec(**overrides)
+        assert main(["run", str(write_spec(tmp_path, spec))]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert field in err
+        assert not (tmp_path / "out" / "rows.csv").exists()
+
+    def test_integral_float_reads_as_int(self, tmp_path):
+        spec = base_spec(horizon=1e3, replications=4.0,
+                         enforcement={"kind": "batch", "delta": 0.4, "batch_length": 1e1})
+        assert main(["run", str(write_spec(tmp_path, spec))]) == EXIT_OK
+        resolved = json.loads((tmp_path / "out" / "resolved_spec.json").read_text())
+        assert (resolved["horizon"], resolved["replications"]) == (1000, 4)
+        assert isinstance(resolved["horizon"], int)
+        assert resolved["enforcement"]["batch_length"] == 10
+
+    @pytest.mark.parametrize("mode, extra", [
+        ("detection", {"deviations": [{"kind": "stationary", "player": 0, "probs": [0.9, 0.1]}]}),
+        ("payoff", {}),
+        ("gap", {"gap_family": GAP_FAMILY}),
+    ])
+    def test_one_replication_exits_1_where_an_sd_is_needed(self, tmp_path, capsys, mode,
+                                                           extra):
+        spec = base_spec(mode=mode, replications=1, **extra)
+        assert main(["run", str(write_spec(tmp_path, spec))]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "replications >= 2" in err
+
+    def test_wrongful_curve_bound_allows_monte_carlo_slack(self, tmp_path):
+        # Each player's batch of 20 fair coins is rejected at delta = 0.9 with
+        # probability 42 / 2^20, so the true punished fraction at T = 1000 is
+        # about 4e-3, above the analytic bound 9.5e-5; 30 replications see no
+        # punishment about 89% of the time.
+        spec = base_spec(mode="wrongful_curve", replications=30, horizon=1000, seed=11,
+                         enforcement={"kind": "batch", "delta": 0.9, "batch_length": 20})
+        assert main(["run", str(write_spec(tmp_path, spec))]) == EXIT_OK
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        final = summary["assertions"][-1]
+        assert final["name"] == "final_fraction_ge_analytic_bound"
+        assert (final["observed"], final["status"]) == (0.0, "pass")
+
+    def test_relative_output_dir_option_is_relative_to_the_working_directory(
+            self, tmp_path, monkeypatch):
+        (tmp_path / "sub").mkdir()
+        write_spec(tmp_path / "sub", base_spec())
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "sub/spec.json", "--output-dir", "sub/res"]) == EXIT_OK
+        assert (tmp_path / "sub" / "res" / "rows.csv").exists()
+        assert not (tmp_path / "sub" / "sub").exists()
+        # The spec's own output_dir stays relative to the spec file.
+        assert main(["run", "sub/spec.json"]) == EXIT_OK
+        assert (tmp_path / "sub" / "out" / "rows.csv").exists()
+
     @pytest.mark.parametrize("mode", ["type1", "wrongful_curve"])
     def test_batch_cooperative_modes_reject_deviations(self, tmp_path, capsys, mode):
         # These modes draw cooperative batch counts, so a deviator would be ignored.

@@ -239,6 +239,29 @@ class TestMonteCarlo:
         with pytest.raises(GameError):
             monte_carlo(config(), "type1", 0)
 
+    @pytest.mark.parametrize("mode", ["detection", "payoff", "gap"])
+    def test_sd_modes_need_two_replications(self, mode):
+        cfg = config(deviations={0: Stationary([0.6, 0.4])},
+                     gap_family=[("defect", 0, Stationary([0, 1]))])
+        with pytest.raises(GameError, match=f"{mode} mode needs replications >= 2"):
+            monte_carlo(cfg, mode, 1)
+        assert monte_carlo(cfg, mode, 2).replications == 2
+
+    @pytest.mark.parametrize("replications, fraction, status", [
+        (30, 0.0, "pass"), (1000, 0.0, "fail"), (1000, 0.001, "fail"), (1000, 0.01, "pass"),
+    ])
+    def test_wrongful_curve_bound_fails_only_below_the_wilson_upper_limit(
+            self, replications, fraction, status):
+        curve = [{"horizon": 1000, "punished_fraction": fraction, "analytic_lower_bound": 0.01}]
+        report = simulate.MonteCarloReport(
+            mode="wrongful_curve", replications=replications, base_seed=0,
+            estimates={"curve": curve}, intervals={}, truncation_certificate=0.0, rows=[])
+        checks = simulate.MODES["wrongful_curve"].checks({}, None, report)
+        assert [(a["name"], a["status"]) for a in checks] == [
+            ("punished_fraction_nondecreasing", "pass"),
+            ("final_fraction_ge_analytic_bound", status),
+        ]
+
     def test_type1_report_shape(self):
         report = monte_carlo(config(horizon=2000), "type1", 20)
         assert report.mode == "type1"
