@@ -34,7 +34,7 @@ in ``repgame.strategies`` (``anytime_ttp_act``, ``batch_ttp_act``,
 loop is tested against.
 
 Each Monte Carlo mode (type1, detection, payoff, gap, wrongful_curve) is one
-class in the ``MODES`` table. It names the enforcement kinds that define it,
+object in the ``MODES`` table. It names the enforcement kinds that define it,
 runs the replications, checks the report against the paper's bounds and
 lays out the tables ``repgame report`` prints. ``monte_carlo`` and
 ``repgame.experiment`` find a mode only through ``MODES``.
@@ -103,6 +103,8 @@ class EpisodeConfig:
             raise GameError("beta must lie strictly in (0, 1)")
         if self.horizon < 1:
             raise GameError("horizon must be >= 1")
+        if self.seed < 0:
+            raise GameError("seed must be >= 0")
         if self.monitoring not in ("imperfect", "perfect"):
             raise GameError(f"unknown monitoring mode {self.monitoring!r}")
         kind = _KINDS.get(self.enforcement)

@@ -219,6 +219,7 @@ class TestRunExperiment:
         (dict(replications=True), "replications"),
         (dict(beta="x"), "beta"),
         (dict(seed=3.5), "seed"),
+        (dict(seed=-1), "seed"),
         (dict(enforcement="anytime"), "enforcement"),
         (dict(enforcement={"kind": "batch", "delta": 0.3, "batch_length": 10.7}),
          "batch_length"),
