@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import math
 from fractions import Fraction
@@ -18,6 +19,7 @@ from repgame import (
     Stationary,
     discounted_payoffs,
     eprocess_exact_oracle,
+    expected_utility,
     monte_carlo,
     run_episode,
     solve_bimatrix_nash,
@@ -566,6 +568,99 @@ class TestEnforcementKinds:
                      gap_family=[("defect", 0, Stationary([0, 1]))], **kind)
         with pytest.raises(GameError, match=f"{mode} mode is not defined for {enforcement}"):
             monte_carlo(cfg, mode, 5)
+
+
+def pinned_episode(case):
+    """One configuration of the episode pins: (kind, deviator, accounting)."""
+    kind, deviator, accounting = case
+    deviations = {
+        "stationary": lambda: {0: Stationary([0.6, 0.4])},
+        "batch_adversarial": lambda: {0: BatchAdversarial(PD, MIXED_COOP, 0, 50, 0.3)},
+        "one_shot": lambda: {1: OneShotDeviation(MIXED_COOP, 1, 37, 1)},
+        "defect_from": lambda: {1: DefectFrom(30)},
+    }[deviator]()
+    extra = {
+        "anytime": {},
+        "batch": {"gamma": None, "delta": 0.3, "batch_length": 50},
+        "none": {"gamma": None},
+        "grim": {"gamma": None, "monitoring": "perfect", "payoff_accounting": accounting,
+                 "target": PURE_COOP if deviator == "defect_from" else MIXED_COOP},
+    }[kind]
+    return config(enforcement=kind, horizon=200, seed=5, deviations=deviations, **extra)
+
+
+def episode_digest(traj):
+    """sha256 prefix of a trajectory's records and the bytes of its stage payoffs."""
+    h = hashlib.sha256()
+    for record in traj.actions:
+        if isinstance(record, MixedProfile):
+            for action in record.actions:
+                h.update(action.probs.tobytes())
+        else:
+            h.update(repr(record).encode())
+    h.update(f"{traj.stage_payoffs.dtype.str}{traj.stage_payoffs.shape}".encode())
+    h.update(traj.stage_payoffs.tobytes())
+    return h.hexdigest()[:16]
+
+
+# (kind, deviator, accounting): (punishment onset, rejection times, digest)
+EPISODE_PINS = {
+    ("anytime", "stationary", "realized"): (31, [31, 42], "96f07f890e0c73a0"),
+    ("anytime", "batch_adversarial", "realized"): (3, [3, 7], "67cf0818e610730d"),
+    ("anytime", "one_shot", "realized"): (None, [None, None], "58fbc190048898c1"),
+    ("batch", "stationary", "realized"): (50, [0, 1], "b3fc7a6332c7eeaf"),
+    ("batch", "batch_adversarial", "realized"): (None, [None, None], "ac8d2b719cdefaab"),
+    ("batch", "one_shot", "realized"): (None, [None, None], "58fbc190048898c1"),
+    ("none", "stationary", "realized"): (None, [None, None], "c82d1f776b34cc03"),
+    ("none", "batch_adversarial", "realized"): (None, [None, None], "ac8d2b719cdefaab"),
+    ("none", "one_shot", "realized"): (None, [None, None], "58fbc190048898c1"),
+    ("grim", "one_shot", "expected"): (38, [None, None], "f3548d6f059a537d"),
+    ("grim", "defect_from", "expected"): (31, [None, None], "0282368936f47320"),
+    ("grim", "one_shot", "realized"): (38, [None, None], "86cb7f72d70737df"),
+    ("grim", "defect_from", "realized"): (31, [None, None], "0282368936f47320"),
+}
+
+
+class TestEpisodePins:
+    @pytest.mark.parametrize("case", list(EPISODE_PINS), ids="-".join)
+    def test_episode_is_pinned(self, case):
+        traj = run_episode(pinned_episode(case), 2)
+        onset, rejection_times, digest = EPISODE_PINS[case]
+        assert traj.punishment_onset == onset
+        assert traj.rejection_times == rejection_times
+        assert episode_digest(traj) == digest
+
+    @pytest.mark.parametrize("case", list(EPISODE_PINS), ids="-".join)
+    def test_stage_payoffs_follow_each_round(self, monkeypatch, case):
+        # Each row is the realized payoff of that round's draws, or the
+        # expected payoff of that round's mixed profile.
+        draws = []
+        original = simulate.sample_action
+
+        def spy(rng, action):
+            draws.append(original(rng, action))
+            return draws[-1]
+
+        monkeypatch.setattr(simulate, "sample_action", spy)
+        cfg = pinned_episode(case)
+        traj = run_episode(cfg, 2)
+        assert traj.stage_payoffs.shape == (cfg.horizon, 2)
+        if cfg.payoff_accounting == "expected":
+            assert not draws
+            expected = [expected_utility(PD, profile) for profile in traj.actions]
+        else:
+            joints = [tuple(draws[2 * t: 2 * t + 2]) for t in range(cfg.horizon)]
+            assert len(draws) == 2 * cfg.horizon
+            if cfg.monitoring == "imperfect":
+                assert traj.actions == joints
+            expected = [PD.payoff(joint) for joint in joints]
+        for row, want in zip(traj.stage_payoffs, expected):
+            assert row.tobytes() == want.tobytes()
+        if case[0] == "grim":
+            # The profile changes mid-episode: cooperation, then a deviation,
+            # then punishment.
+            distinct = {tuple(a.probs.tobytes() for a in p.actions) for p in traj.actions}
+            assert len(distinct) >= 3
 
 
 class TestExactOracle:
