@@ -2,10 +2,12 @@
 
 Payoffs are normalized to [0, 1]. Mixed actions live on the probability
 simplex; inputs within 1e-9 of a simplex point are renormalized, anything
-worse is rejected. All functions here are pure and safe to call concurrently.
+worse (or not finite) is rejected. All functions here are pure and safe to
+call concurrently.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -31,6 +33,8 @@ def as_simplex(probs) -> np.ndarray:
     p = np.asarray(probs, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise GameError("probability vector must be 1-d and nonempty")
+    if not np.all(np.isfinite(p)):
+        raise GameError(f"non-finite probability entry in {p}")
     if np.any(p < -SIMPLEX_ATOL):
         raise GameError(f"negative probability entry in {p}")
     p = np.clip(p, 0.0, None)
@@ -55,7 +59,14 @@ class MixedAction:
     def __getitem__(self, a: int) -> float:
         return float(self.probs[a])
 
+    @functools.cached_property
+    def edges(self) -> tuple:
+        """The K - 1 cumulative edges p_0, p_0 + p_1, ... that a uniform draw is bisected on."""
+        return tuple(itertools.accumulate(self.probs[:-1].tolist()))
+
     def close_to(self, other: "MixedAction", atol: float = PROFILE_EQ_ATOL) -> bool:
+        if self is other:  # probs are finite, so allclose(x, x) holds
+            return True
         return len(self) == len(other) and bool(
             np.allclose(self.probs, other.probs, rtol=0.0, atol=atol)
         )

@@ -64,13 +64,13 @@ def eprocess_update(state: EProcessState, action: int, w_ref: MixedAction,
         raise StalenessError(f"state at t={state.t}, caller at t={expected_t}")
     if not 0 <= action < state.num_actions:
         raise TestInputError(f"action {action} out of range")
-    ref = w_ref[action]
+    ref, seen = w_ref[action], int(state.counts[action])
     if ref <= 0.0:
         state.log_e = math.inf
     elif math.isfinite(state.log_e):
-        pred = (state.counts[action] + 1.0) / (state.t + state.num_actions)
+        pred = (seen + 1.0) / (state.t + state.num_actions)
         state.log_e += math.log(pred) - math.log(ref)
-    state.counts[action] += 1
+    state.counts[action] = seen + 1
     state.t += 1
     return state
 
@@ -114,7 +114,8 @@ class BatchTestState:
     """Per-player buffer for the batch L1 frequency test.
 
     Verdicts are emitted only at batch boundaries; ``fired_at_batch`` is the
-    index of the first rejected batch and is immutable once set.
+    index of the first rejected batch and is immutable once set. ``filled``
+    is the number of observations in the buffer, the sum of ``buffer_counts``.
     """
 
     player: int
@@ -122,6 +123,7 @@ class BatchTestState:
     buffer_counts: np.ndarray
     batch_index: int = 0
     fired_at_batch: int | None = None
+    filled: int = 0
 
     @classmethod
     def fresh(cls, player: int, num_actions: int, batch_length: int) -> "BatchTestState":
@@ -163,11 +165,13 @@ def batch_update(state: BatchTestState, action: int, w_ref: MixedAction,
     if not 0 <= action < state.num_actions:
         raise TestInputError(f"action {action} out of range")
     state.buffer_counts[action] += 1
-    if int(state.buffer_counts.sum()) < state.batch_length:
+    state.filled += 1
+    if state.filled < state.batch_length:
         return None
     _, verdict = batch_test(state.buffer_counts, state.batch_length, w_ref, delta)
     if verdict and state.fired_at_batch is None:
         state.fired_at_batch = state.batch_index
     state.batch_index += 1
     state.buffer_counts[:] = 0
+    state.filled = 0
     return verdict

@@ -14,7 +14,9 @@ time; these are distributionally identical to the episode protocol.
 Both paths sample a pure action the same way: with u = rng.random() and the
 K - 1 cumulative edges p_0, p_0 + p_1, ..., p_0 + ... + p_{K-2}, the action
 is the number of edges <= u. Each draw consumes one uniform, so a vector draw
-of n actions equals n successive scalar draws from the same stream.
+of n actions equals n successive scalar draws from the same stream. The
+scalar path bisects the edges that each MixedAction computes once and caches
+(``MixedAction.edges``).
 
 The e-process scores round t (0-based) by log((c + 1) / (t + K)) - log w_a,
 where a is the observed action and c the number of earlier rounds that
@@ -22,16 +24,21 @@ played a; an action outside the support of w scores +inf. Scores are summed
 in round order, and tau is the number of rounds scored when e_t first
 reaches N / gamma. Rounds whose sum comes within TIE_BAND of log(N / gamma)
 are decided by ``eprocess_crossed`` on their counts, exactly near a tie; the
-exact oracle applies the same rule on a forward pass over the count lattice.
+exact oracle applies the same rule on a forward pass over the count lattice,
+with the lgamma closed form of log e_t as the float value.
 
 Each enforcement kind (anytime, batch, grim, none) is one class in the
 ``_KINDS`` table. An instance is the episode's enforcement: it holds the
 test state every player shares and reports when punishment starts, so
 ``run_episode`` fixes the punishment onset once and cooperators switch from
-the cooperative to the punishment profile there. The per-player strategies
-in ``repgame.strategies`` (``anytime_ttp_act``, ``batch_ttp_act``,
-``grim_trigger_act``) remain the reference definitions that the episode
-loop is tested against.
+the cooperative to the punishment profile there. ``run_episode`` builds a
+MixedProfile only under perfect monitoring, where it is the public record.
+It records the joint actions and looks up the realized stage payoffs once,
+after the loop; under expected accounting a round that plays the same
+MixedAction objects as the round before reuses that round's payoff row. The
+per-player strategies in ``repgame.strategies`` (``anytime_ttp_act``,
+``batch_ttp_act``, ``grim_trigger_act``) remain the reference definitions
+that the episode loop is tested against.
 
 Each Monte Carlo mode (type1, detection, payoff, gap, wrongful_curve) is one
 object in the ``MODES`` table. It names the enforcement kinds that define it,
@@ -42,7 +49,6 @@ lays out the tables ``repgame report`` prints. ``monte_carlo`` and
 from __future__ import annotations
 
 import bisect
-import itertools
 import logging
 import math
 import os
@@ -164,8 +170,7 @@ def _draw_actions(rng: np.random.Generator, probs: np.ndarray, size: int) -> np.
 
 
 def sample_action(rng: np.random.Generator, action: MixedAction) -> int:
-    edges = list(itertools.accumulate(action.probs[:-1].tolist()))
-    return bisect.bisect_right(edges, rng.random())
+    return bisect.bisect_right(action.edges, rng.random())
 
 
 def wilson_interval(successes: int, n: int, z: float = 1.959963984540054):
@@ -362,9 +367,10 @@ def run_episode(config: EpisodeConfig, replication: int = 0) -> Trajectory:
     enforcement = _KINDS[config.enforcement](config)
     history = PublicHistory(mode=config.monitoring)
     rngs = [_stream(config.seed, replication, i, 0) for i in range(n)]
-    stage_payoffs = np.empty((config.horizon, n))
-    actions_log = []
-    punishment_onset = None
+    perfect = config.monitoring == "perfect"
+    expected = perfect and config.payoff_accounting == "expected"
+    actions_log, joints, rows = [], [], []
+    played, punishment_onset = None, None
 
     for t in range(config.horizon):
         plan = target.cooperative if punishment_onset is None else target.punishment
@@ -372,19 +378,27 @@ def run_episode(config: EpisodeConfig, replication: int = 0) -> Trajectory:
             config.deviations[i].act(history, t) if i in config.deviations else plan[i]
             for i in range(n)
         ]
-        profile = MixedProfile(tuple(mixed))
-        if config.monitoring == "perfect" and config.payoff_accounting == "expected":
-            stage_payoffs[t] = expected_utility(game, profile)
+        if expected:
+            record = MixedProfile(tuple(mixed))
+            # The expected payoff depends only on the mixed actions, so a
+            # round that plays the same objects as the last reuses its row.
+            if played is None or any(a is not b for a, b in zip(record.actions, played)):
+                row, played = expected_utility(game, record), record.actions
+            rows.append(row)
         else:
             joint = tuple(sample_action(rngs[i], mixed[i]) for i in range(n))
-            stage_payoffs[t] = game.payoff(joint)
-        # Perfect monitoring makes the mixed profile public, else the draws.
-        record = profile if config.monitoring == "perfect" else joint
+            joints.append(joint)
+            # Perfect monitoring makes the mixed profile public, else the draws.
+            record = MixedProfile(tuple(mixed)) if perfect else joint
         actions_log.append(record)
         history.append(record)
         if enforcement.observe(t, record) and punishment_onset is None:
             punishment_onset = t + 1
 
+    if expected:
+        stage_payoffs = np.array(rows)
+    else:
+        stage_payoffs = _joint_stage_payoffs(game, list(np.array(joints, dtype=np.int64).T))
     return Trajectory(
         monitoring=config.monitoring,
         actions=actions_log,
@@ -809,7 +823,8 @@ class _Gap(_Mode):
         baseline = MODES["payoff"].run(replace(config, deviations={}), kind, replications)
         base_mean = np.asarray(baseline["estimates"]["mean_payoff"])
         base_se = np.asarray(baseline["estimates"]["payoff_se"])
-        rows, table = list(baseline["rows"]), []
+        rows = [{**row, "mode": "gap"} for row in baseline["rows"]]
+        table = []
         for label, player, strategy in config.gap_family:
             dev_config = replace(config, deviations={player: strategy})
             dev_report = MODES["payoff"].run(dev_config, kind, replications)
@@ -938,6 +953,19 @@ def monte_carlo(config: EpisodeConfig, mode: str, replications: int) -> MonteCar
 # ---------------------------------------------------------------------------
 
 
+def _log_e_terms(weights: list, depth: int) -> list:
+    """terms[a][c] = lgamma(c + 1) - c log w_a for c <= depth (0 at c = 0).
+
+    A term is +inf for c > 0 when w_a = 0. With t = sum(counts), the closed
+    form is log e_t = lgamma(K) - lgamma(t + K) + sum_a terms[a][c_a].
+    """
+    return [
+        [0.0] + [math.lgamma(c + 1) - c * (math.log(w) if w > 0.0 else -math.inf)
+                 for c in range(1, depth + 1)]
+        for w in weights
+    ]
+
+
 def eprocess_exact_oracle(
     num_actions: int,
     w_ref: MixedAction,
@@ -951,22 +979,32 @@ def eprocess_exact_oracle(
     N / gamma within the first ``depth`` observations: a forward pass over the
     count lattice that removes the mass crossing at each step. The caller
     compares this against gamma; the function itself just reports the number.
+
+    Each lattice state is decided float-then-exact by ``eprocess_crossed``:
+    the closed form log e_t = lgamma(K) - lgamma(t + K)
+    + sum_{c_a > 0} (lgamma(c_a + 1) - c_a log w_a), which stays within 1e-9
+    of the exact value at the depths tested, decides outside TIE_BAND of
+    log(N / gamma); only states within the band are compared in Fraction.
     """
     if depth < 1:
         raise GameError("depth must be >= 1")
     probs = w_ref.probs if isinstance(w_ref, MixedAction) else np.asarray(w_ref, float)
     if probs.size != num_actions:
         raise GameError("w_ref dimension does not match num_actions")
+    weights = probs.tolist()
+    terms = _log_e_terms(weights, depth)
     live, crossed = {(0,) * num_actions: 1.0}, 0.0
-    for _ in range(depth):
+    for t in range(1, depth + 1):
         step = {}
         for counts, mass in live.items():
-            for a, p in enumerate(probs.tolist()):
+            for a, p in enumerate(weights):
                 nxt = counts[:a] + (counts[a] + 1,) + counts[a + 1:]
                 step[nxt] = step.get(nxt, 0.0) + mass * p
+        base = math.lgamma(num_actions) - math.lgamma(t + num_actions)
         live = {}
         for counts, mass in step.items():
-            if eprocess_crossed(counts, probs, gamma, num_players):
+            log_e = base + sum(map(list.__getitem__, terms, counts))
+            if eprocess_crossed(counts, probs, gamma, num_players, log_e):
                 crossed += mass
             else:
                 live[counts] = mass

@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 
@@ -187,6 +188,7 @@ class TestRunExperiment:
         ({"kind": "batch_adversarial", "player": 0}, "batch_length"),
         ({"kind": "stationary", "player": 2, "probs": [1, 0]}, "player"),
         ({"kind": "adaptive", "player": 0}, "adaptive"),
+        ({"kind": "stationary", "player": 0, "probs": [float("nan"), 1.0]}, "probs"),
     ])
     def test_bad_deviation_exits_1_naming_the_field(self, tmp_path, capsys, entry, field):
         spec = base_spec(mode="detection", deviations=[entry])
@@ -291,6 +293,15 @@ class TestRunExperiment:
         # The spec's own output_dir stays relative to the spec file.
         assert main(["run", "sub/spec.json"]) == EXIT_OK
         assert (tmp_path / "sub" / "out" / "rows.csv").exists()
+
+    def test_gap_rows_all_say_gap(self, tmp_path):
+        spec = base_spec(mode="gap", gap_family=GAP_FAMILY, replications=3, horizon=200)
+        assert run_experiment(write_spec(tmp_path, spec)) == EXIT_OK
+        with open(tmp_path / "out" / "rows.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 3 * (1 + len(GAP_FAMILY))
+        assert {row["mode"] for row in rows} == {"gap"}
+        assert [row["variant"] for row in rows[::3]] == ["baseline", "defect", "ball"]
 
     @pytest.mark.parametrize("mode", ["type1", "wrongful_curve"])
     def test_batch_cooperative_modes_reject_deviations(self, tmp_path, capsys, mode):

@@ -50,6 +50,23 @@ class TestMixedAction:
         assert MixedAction([0.5, 0.5]).close_to(MixedAction([0.5, 0.5]))
         assert not MixedAction([0.5, 0.5]).close_to(MixedAction([0.6, 0.4]))
 
+    @pytest.mark.parametrize("probs", [[float("nan"), 1.0], [float("inf"), 0.0],
+                                       [0.5, float("nan"), 0.5]])
+    def test_rejects_non_finite(self, probs):
+        # abs(nan - 1) > atol is False, so the sum check alone lets NaN through.
+        with pytest.raises(GameError, match="non-finite"):
+            MixedAction(probs)
+
+    def test_close_to_itself(self):
+        action = MixedAction([0.25, 0.75])
+        assert action.close_to(action)
+        assert action.close_to(action, atol=0.0)
+
+    def test_edges_are_the_cumulative_sums(self):
+        action = MixedAction([0.2, 0.3, 0.5])
+        assert action.edges == (0.2, 0.2 + 0.3)
+        assert action.edges is action.edges
+
 
 class TestStageGame:
     def test_rejects_out_of_range_payoffs(self):

@@ -30,6 +30,7 @@ from repgame.sequential import (
     EProcessState,
     anytime_verdict,
     batch_update,
+    eprocess_crossed,
     eprocess_update,
 )
 from repgame.strategies import (
@@ -42,6 +43,7 @@ from repgame.simulate import (
     _draw_actions,
     _eprocess_log_traj,
     _eprocess_tau,
+    _log_e_terms,
     _worker_count,
     sample_action,
 )
@@ -75,6 +77,24 @@ def fraction_crossing(probs, gamma, num_players, depth):
         return total
 
     return rec([0] * len(w), 0, Fraction(1), Fraction(1))
+
+
+def all_fraction_oracle(probs, gamma, num_players, depth):
+    """The oracle's forward pass, deciding every lattice state in Fraction."""
+    live, crossed = {(0,) * len(probs): 1.0}, 0.0
+    for _ in range(depth):
+        step = {}
+        for counts, mass in live.items():
+            for a, p in enumerate(probs):
+                nxt = counts[:a] + (counts[a] + 1,) + counts[a + 1:]
+                step[nxt] = step.get(nxt, 0.0) + mass * p
+        live = {}
+        for counts, mass in step.items():
+            if eprocess_crossed(counts, probs, gamma, num_players):
+                crossed += mass
+            else:
+                live[counts] = mass
+    return crossed
 
 
 def config(**kwargs):
@@ -705,6 +725,54 @@ class TestExactOracle:
         w = MixedAction([0.5, 0.5])
         values = [eprocess_exact_oracle(2, w, 0.2, 1, d) for d in (2, 4, 6, 8)]
         assert values == sorted(values)
+
+    @pytest.mark.parametrize("probs", [(0.8, 0.2), (0.2, 0.3, 0.5), (0.25, 0.0, 0.75)])
+    def test_closed_form_log_e_within_1e9_of_exact(self, probs):
+        # The oracle trusts the lgamma closed form outside TIE_BAND = 1e-6 of
+        # log(N / gamma), so on every lattice state up to depth 200 it must
+        # stay well inside that band of the exact log e_t. Exactly,
+        # e_t = (K-1)! / (t+K-1)! * prod_a c_a! / w_a^c_a, a product of
+        # Fractions; its log is summed from the logs of those exact factors,
+        # each taken on the factor's integer numerator and denominator.
+        depth, k = 200, len(probs)
+
+        def exact_log(q):
+            return math.log(q.numerator) - math.log(q.denominator)
+
+        terms = np.array(_log_e_terms(list(probs), depth))
+        exact_terms = np.array([
+            [math.inf if p == 0.0 and c else
+             exact_log(math.factorial(c) / Fraction(p) ** c) for c in range(depth + 1)]
+            for p in probs
+        ])
+        worst, infinite = 0.0, 0
+        for t in range(1, depth + 1):
+            head = np.indices((t + 1,) * (k - 1)).reshape(k - 1, -1)
+            head = head[:, head.sum(axis=0) <= t]
+            counts = np.vstack([head, t - head.sum(axis=0)])
+            # The oracle's order: base + (terms[0][c_0] + terms[1][c_1] + ...).
+            closed = terms[0][counts[0]]
+            exact = exact_log(Fraction(math.factorial(k - 1), math.factorial(t + k - 1)))
+            exact = exact + exact_terms[0][counts[0]]
+            for a in range(1, k):
+                closed = closed + terms[a][counts[a]]
+                exact = exact + exact_terms[a][counts[a]]
+            closed = math.lgamma(k) - math.lgamma(t + k) + closed
+            finite = np.isfinite(exact)
+            assert np.array_equal(np.isfinite(closed), finite)
+            infinite += int((~finite).sum())
+            worst = max(worst, float(np.abs(closed[finite] - exact[finite]).max()))
+        assert worst <= 1e-9  # measured below 3e-12
+        assert (infinite > 0) == (0.0 in probs)
+
+    @pytest.mark.parametrize("probs", [(0.5, 0.5), (0.8, 0.2)])
+    @pytest.mark.parametrize("gamma", [0.5, 0.2, 0.1])
+    def test_equals_all_fraction_pass_on_acceptance_1_grid(self, probs, gamma):
+        # The same forward pass with every state decided in Fraction (no
+        # log_e). The tie cell (w = (1/2, 1/2), gamma = 1/2) is on the grid.
+        for depth in range(6, 13):
+            got = eprocess_exact_oracle(2, MixedAction(list(probs)), gamma, 1, depth)
+            assert got == all_fraction_oracle(probs, gamma, 1, depth)
 
     def test_matches_monte_carlo(self):
         w = MixedAction([0.5, 0.5])
