@@ -44,9 +44,12 @@ def as_simplex(probs) -> np.ndarray:
     return p / total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixedAction:
-    """A probability distribution over one player's pure actions."""
+    """A probability distribution over one player's pure actions.
+
+    Two mixed actions are equal when their probabilities are exactly equal.
+    """
 
     probs: np.ndarray
 
@@ -58,6 +61,14 @@ class MixedAction:
 
     def __getitem__(self, a: int) -> float:
         return float(self.probs[a])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MixedAction):
+            return NotImplemented
+        return bool(np.array_equal(self.probs, other.probs))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.probs.tolist()))
 
     @functools.cached_property
     def edges(self) -> tuple:
@@ -78,7 +89,7 @@ def _coerce_action(a) -> MixedAction:
 
 @dataclass(frozen=True)
 class MixedProfile:
-    """One mixed action per player."""
+    """One mixed action per player; profiles are equal when their actions are."""
 
     actions: tuple
 

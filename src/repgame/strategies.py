@@ -56,7 +56,10 @@ class PublicHistory:
 
     def append(self, joint) -> None:
         if self.mode == "imperfect":
-            self.rounds.append(tuple(int(a) for a in joint))
+            # run_episode passes a tuple of Python ints; store that as is.
+            if type(joint) is not tuple or not all(type(a) is int for a in joint):
+                joint = tuple(int(a) for a in joint)
+            self.rounds.append(joint)
         else:
             if not isinstance(joint, MixedProfile):
                 joint = MixedProfile(tuple(joint))

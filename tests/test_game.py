@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from repgame import (
     DegeneratePlayerError,
+    EpisodeConfig,
     GameError,
     MixedAction,
     MixedProfile,
+    OneShotDeviation,
     PayoffTarget,
     StageGame,
     best_response_gap,
@@ -17,6 +19,7 @@ from repgame import (
     load_game,
     patience_thresholds,
     pure_action_payoffs,
+    run_episode,
     solve_bimatrix_nash,
     tv_ball_contains,
 )
@@ -66,6 +69,55 @@ class TestMixedAction:
         action = MixedAction([0.2, 0.3, 0.5])
         assert action.edges == (0.2, 0.2 + 0.3)
         assert action.edges is action.edges
+
+    def test_equal_values_are_equal_and_hash_equal(self):
+        a, b = MixedAction([0.5, 0.5]), MixedAction(np.array([0.5, 0.5]))
+        assert a.edges == (0.5,)  # the cached edges take no part
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1 and {a: 1}[b] == 1
+
+    def test_equality_is_exact(self):
+        a = MixedAction([0.5, 0.5])
+        assert a != MixedAction([0.5 + 1e-12, 0.5 - 1e-12])
+        assert a.close_to(MixedAction([0.5 + 1e-13, 0.5 - 1e-13]))
+        assert a != MixedAction([0.5, 0.25, 0.25])
+        assert a != MixedAction([1, 0]) and len({a, MixedAction([1, 0])}) == 2
+        assert a != (0.5, 0.5) and a != "a"
+
+
+class TestMixedProfile:
+    def test_equal_values_are_equal_and_hash_equal(self):
+        p = MixedProfile(([0.5, 0.5], [1, 0]))
+        q = MixedProfile((MixedAction([0.5, 0.5]), np.array([1.0, 0.0])))
+        assert p == q and not p != q
+        assert hash(p) == hash(q) and len({p, q}) == 1
+
+    def test_unequal_values(self):
+        p = MixedProfile(([0.5, 0.5], [1, 0]))
+        assert p != MixedProfile(([0.5, 0.5], [0, 1]))
+        assert p != MixedProfile(([0.5, 0.5],))
+        assert p != MixedProfile(([0.5, 0.5], [1, 0], [1, 0]))
+        assert len({p, MixedProfile(([0.5, 0.5], [0, 1]))}) == 2
+
+    def test_perfect_monitoring_trajectories_compare_by_value(self):
+        target = PayoffTarget.from_profiles(
+            PD, MixedProfile(([1, 0], [1, 0])), solve_bimatrix_nash(PD)
+        )
+
+        def actions(at_round):
+            config = EpisodeConfig(
+                game=PD, target=target, beta=0.9, horizon=30, seed=3,
+                enforcement="grim", monitoring="perfect",
+                deviations={0: OneShotDeviation(target, 0, at_round, 1)},
+            )
+            return run_episode(config).actions
+
+        first, again, later = actions(10), actions(10), actions(20)
+        assert first == again
+        assert first is not again and first[0] is not again[0]
+        assert first != later
+        assert first[:10] == later[:10]
 
 
 class TestStageGame:

@@ -44,6 +44,7 @@ from repgame.simulate import (
     _eprocess_log_traj,
     _eprocess_tau,
     _log_e_terms,
+    _log_factorials,
     _worker_count,
     sample_action,
 )
@@ -478,6 +479,115 @@ class TestStreamKernels:
         with caplog.at_level(logging.WARNING, logger="repgame"):
             assert _worker_count() == 3
         assert not caplog.records
+
+
+def first_crossing(actions, w_ref, gamma, num_players):
+    """The crossing rule round by round: the first t at which
+    eprocess_crossed fires on the counts and the running sum at t."""
+    cum = _eprocess_log_traj(actions, w_ref)
+    counts = np.zeros(w_ref.size, dtype=np.int64)
+    for t, a in enumerate(actions):
+        counts[a] += 1
+        if eprocess_crossed(counts, w_ref, gamma, num_players, cum[t]):
+            return t + 1
+    return None
+
+
+def balanced_then_zeros(crossing_round):
+    """A K = 2 stream, and a gamma for N = 2 under w = (1/2, 1/2), whose first
+    crossing is at round index ``crossing_round`` (tau = crossing_round + 1).
+
+    Alternating 0, 1 for a quarter of the rounds keeps e_t at most 1; the run
+    of zeros after it raises e_t every round, and the threshold sits midway
+    (in log) between the last two rounds.
+    """
+    balanced = 2 * (crossing_round // 4)
+    actions = np.zeros(crossing_round + 20, dtype=np.int64)
+    actions[:balanced] = np.arange(balanced) % 2
+    cum = _eprocess_log_traj(actions, np.array([0.5, 0.5]))
+    assert cum[crossing_round - 1] > max(cum[: crossing_round - 1].max(), math.log(2))
+    threshold = (cum[crossing_round - 1] + cum[crossing_round]) / 2
+    return actions, 2 * math.exp(-threshold)
+
+
+class TestClosedFormTau:
+    def test_log_factorials_within_2e15_of_lgamma(self):
+        # The uncached builder, so the 16 MB table is not kept for the session.
+        n = 2_000_000
+        table = _log_factorials.__wrapped__(n)
+        grid = np.unique(np.concatenate([np.arange(3_000),
+                                         np.linspace(0, n, 4_001).astype(np.int64)]))
+        worst_rel = worst_abs = 0.0
+        for m in grid.tolist():
+            exact = math.lgamma(m + 1)
+            err = abs(table[m] - exact)
+            if exact < 1.0:
+                worst_abs = max(worst_abs, err)
+            else:
+                worst_rel = max(worst_rel, err / exact)
+        assert worst_rel <= 2e-15  # measured 4.4e-16
+        assert worst_abs <= 1e-12
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 31, 32, 33, 100])
+    def test_log_factorials_small_tables(self, n):
+        table = _log_factorials(n)
+        assert table.shape == (n + 1,)
+        head = [math.lgamma(m + 1) for m in range(min(n + 1, 32))]
+        assert table[:32].tolist() == head  # math.lgamma itself below m = 32
+        assert np.allclose(table, [math.lgamma(m + 1) for m in range(n + 1)],
+                           rtol=2e-15, atol=1e-12)
+
+    def test_log_factorials_read_only(self):
+        table = _log_factorials(40)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[3] = 0.0
+        assert _log_factorials(40) is table
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    @pytest.mark.parametrize("gamma, num_players", [(0.05, 2), (0.2, 1)])
+    def test_small_chunks_match_round_by_round_rule(self, monkeypatch, chunk, gamma,
+                                                    num_players):
+        monkeypatch.setattr(simulate, "_CHUNK", chunk)
+        taus, sizes = [], set()
+        for actions, w_ref in seeded_streams():
+            tau = _eprocess_tau(actions, w_ref, gamma, num_players)
+            assert tau == first_crossing(actions, w_ref, gamma, num_players)
+            taus.append(tau)
+            sizes.add(w_ref.size)
+        assert None in taus and any(t is not None for t in taus)
+        assert sizes == {2, 3, 4}
+
+    @pytest.mark.parametrize("chunk", [7, 64])
+    @pytest.mark.parametrize("where", ["first", "last"])
+    def test_crossing_on_a_chunk_edge(self, monkeypatch, chunk, where):
+        # A finite crossing on the first or the last round of the second and
+        # third chunks, where the counts carried in are nonzero.
+        monkeypatch.setattr(simulate, "_CHUNK", chunk)
+        w_ref = np.array([0.5, 0.5])
+        for k in (1, 2):
+            crossing_round = k * chunk if where == "first" else (k + 1) * chunk - 1
+            actions, gamma = balanced_then_zeros(crossing_round)
+            assert first_crossing(actions, w_ref, gamma, 2) == crossing_round + 1
+            assert _eprocess_tau(actions, w_ref, gamma, 2) == crossing_round + 1
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_unsupported_action_on_a_chunk_edge(self, monkeypatch, chunk):
+        # K = 3 with a zero weight: e_t turns +inf at the unsupported action.
+        monkeypatch.setattr(simulate, "_CHUNK", chunk)
+        w_ref = np.array([0.5, 0.5, 0.0])
+        for t in (chunk, 2 * chunk - 1, 3 * chunk, 150):
+            actions = np.arange(200, dtype=np.int64) % 2
+            actions[t] = 2
+            assert _eprocess_tau(actions, w_ref, 0.5, 1) == t + 1
+            assert first_crossing(actions, w_ref, 0.5, 1) == t + 1
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 16_384])
+    def test_tie_cell_still_fires_at_three(self, monkeypatch, chunk):
+        # w = (1/2, 1/2), N = 1, gamma = 1/2: e_3 = 2 = N / gamma exactly on 0, 0, 0.
+        monkeypatch.setattr(simulate, "_CHUNK", chunk)
+        assert _eprocess_tau(np.zeros(3, dtype=np.int64), np.array([0.5, 0.5]), 0.5, 1) == 3
+        assert _eprocess_tau(np.zeros(2, dtype=np.int64), np.array([0.5, 0.5]), 0.5, 1) is None
 
 
 def mixed_actions_drawn(monkeypatch):

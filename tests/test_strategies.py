@@ -40,6 +40,25 @@ class TestPublicHistory:
         h.append((0, 1))
         assert h.rounds == [(0, 1)] and len(h) == 1
 
+    def test_imperfect_stores_python_int_tuples_as_is(self):
+        h, joint = PublicHistory("imperfect"), (0, 1)
+        h.append(joint)
+        assert h.rounds[0] is joint
+
+    @pytest.mark.parametrize("joint", [
+        (np.int64(0), np.int64(1)),
+        np.array([[0, 1]], dtype=np.int64)[0],
+        [0, 1],
+        (0, np.int32(1)),
+        (False, True),
+    ])
+    def test_imperfect_converts_other_inputs_to_python_int_tuples(self, joint):
+        h = PublicHistory("imperfect")
+        h.append(joint)
+        assert h.rounds == [(0, 1)]
+        assert type(h.rounds[0]) is tuple
+        assert [type(a) for a in h.rounds[0]] == [int, int]
+
     def test_perfect_records_profiles(self):
         h = PublicHistory("perfect")
         h.append(COOP)
