@@ -9,11 +9,9 @@ and payoff bounds that certify the resulting equilibria.
 from .bounds import (
     BatchSchedule,
     BoundParamError,
-    BoundParams,
     anytime_tau_bound,
     batch_error_bounds,
     tuned_batch_params,
-    zeta_bound,
 )
 from .game import (
     DegeneratePlayerError,

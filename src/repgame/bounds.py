@@ -2,9 +2,9 @@
 
 Hard-coded numeric constants (the 10 in the stopping-time bound, the 258 and
 126 in the batch parameter schedule, the factors in the batch error bounds)
-are pinned. The universal constants C, C1, C2 are not pinned by any formula;
-they default to 1.0 and outputs depending on them are shape-only, meant for
-comparative reporting rather than certified bounds.
+are pinned. The universal constant C of the stopping-time bound is not
+pinned by any formula; it defaults to 1.0 and the bound is shape-only in it,
+meant for comparative reporting rather than as a certified bound.
 """
 from __future__ import annotations
 
@@ -16,40 +16,14 @@ class BoundParamError(ValueError):
     """Bound parameter outside its valid range."""
 
 
-@dataclass(frozen=True)
-class BoundParams:
-    """Parameters shared by the bound calculators.
-
-    gamma: Type I level; epsilon: deviation magnitude (half the L1 radius);
-    delta: batch rejection threshold; C, C1, C2: stand-ins for unspecified
-    universal constants, configuration-visible.
-    """
-
-    gamma: float = 0.05
-    epsilon: float = 0.1
-    delta: float = 0.1
-    C: float = 1.0
-    C1: float = 1.0
-    C2: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.gamma < 1.0:
-            raise BoundParamError("gamma must lie in (0, 1)")
-        if self.epsilon <= 0.0:
-            raise BoundParamError("epsilon must be positive")
-        if not 0.0 < self.delta < 1.0:
-            raise BoundParamError("delta must lie in (0, 1)")
-        if min(self.C, self.C1, self.C2) <= 0.0:
-            raise BoundParamError("universal constants must be positive")
-
-
 def batch_error_bounds(num_actions: int, num_players: int, batch_length: int,
                        delta: float, beta: float):
     """Per-batch false-rejection bound and undetected per-batch gain bound.
 
-    Returns (p_L, q_L, Delta_L) with p_L = q_L = min(1, 2KN exp(-2L delta^2 / K^2))
+    Returns (p_L, Delta_L) with p_L = min(1, 2KN exp(-2L delta^2 / K^2))
     clamped to [0, 1] since it bounds a probability, and
-    Delta_L = delta + 3 (1 - beta^L).
+    Delta_L = delta + 3 (1 - beta^L). The bound q_L equals p_L, so it is
+    not returned separately.
     """
     if num_actions < 2 or num_players < 2 or batch_length < 1:
         raise BoundParamError("need K >= 2, N >= 2, L >= 1")
@@ -62,7 +36,7 @@ def batch_error_bounds(num_actions: int, num_players: int, batch_length: int,
     )
     p_l = min(1.0, raw)
     delta_l = delta + 3.0 * (1.0 - beta**batch_length)
-    return p_l, p_l, delta_l
+    return p_l, delta_l
 
 
 @dataclass(frozen=True)
@@ -93,43 +67,23 @@ def tuned_batch_params(epsilon: float, num_actions: int, num_players: int) -> Ba
     return BatchSchedule(delta=delta, batch_length=batch_length, beta_pow_l_window=window)
 
 
-def anytime_tau_bound(params: BoundParams, w_min: float) -> float:
+def anytime_tau_bound(gamma: float, epsilon: float, w_min: float, C: float = 1.0) -> float:
     """Upper bound on the expected detection time of a stationary deviation.
 
-    10 ln(1/gamma) / eps^2 + C (1 + |ln w_min|) / eps^5, where w_min is the
-    smallest cooperative action probability. Shape-only in C.
+    10 ln(1/gamma) / eps^2 + C (1 + |ln w_min|) / eps^5, where gamma is the
+    Type I level, eps = epsilon the deviation magnitude (half the L1 radius)
+    and w_min the smallest cooperative action probability. Shape-only in C.
     """
+    if not 0.0 < gamma < 1.0:
+        raise BoundParamError("gamma must lie in (0, 1)")
+    if epsilon <= 0.0:
+        raise BoundParamError("epsilon must be positive")
+    if C <= 0.0:
+        raise BoundParamError("universal constants must be positive")
     if not 0.0 <= w_min <= 1.0:
         raise BoundParamError("w_min must lie in [0, 1]")
     if w_min == 0.0:
         return math.inf
-    eps = params.epsilon
-    first = 10.0 * math.log(1.0 / params.gamma) / eps**2
-    second = params.C * (1.0 + abs(math.log(w_min))) / eps**5
+    first = 10.0 * math.log(1.0 / gamma) / epsilon**2
+    second = C * (1.0 + abs(math.log(w_min))) / epsilon**5
     return first + second
-
-
-def zeta_bound(t: int, params: BoundParams, w_min: float) -> float:
-    """Survival-probability bound for the detection time at round t.
-
-    Equals 1 at t in {0, 1} and below the detection-time floor
-    10 ln(1/gamma) / eps^2; otherwise the three-exponential expression,
-    clamped to [0, 1]. Shape-only in C1, C2.
-    """
-    if t < 0:
-        raise BoundParamError("t must be nonnegative")
-    if not 0.0 < w_min <= 1.0:
-        raise BoundParamError("w_min must lie in (0, 1]")
-    if t <= 1:
-        return 1.0
-    eps = params.epsilon
-    log_t = math.log(t)
-    terms = t * math.exp(-2.0 * t * eps**2 / (params.C2 * log_t**2))
-    terms += math.exp(-t * 4.0 * eps**4 / (params.C2 * log_t))
-    log_w = abs(math.log(w_min))
-    if log_w > 0.0:
-        terms += math.exp(-t * eps**4 / (2.0 * log_w))
-    value = params.C1 * terms
-    if t <= 10.0 * math.log(1.0 / params.gamma) / eps**2:
-        value += 1.0
-    return min(1.0, value)

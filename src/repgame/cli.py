@@ -5,7 +5,7 @@ import argparse
 import json
 import sys
 
-from .bounds import BoundParams, anytime_tau_bound, batch_error_bounds, tuned_batch_params
+from .bounds import anytime_tau_bound, batch_error_bounds, tuned_batch_params
 from .experiment import EXIT_CONFIG_ERROR, SpecError, emit_report, run_experiment
 from .game import GameError, expected_utility, load_game, solve_bimatrix_nash
 
@@ -43,11 +43,11 @@ def _cmd_solve_nash(args) -> int:
 def _cmd_bounds(args) -> int:
     try:
         if args.kind == "batch":
-            p_l, q_l, delta_l = batch_error_bounds(
+            p_l, delta_l = batch_error_bounds(
                 args.num_actions, args.num_players, args.batch_length,
                 args.delta, args.beta,
             )
-            doc = {"p_L": p_l, "q_L": q_l, "Delta_L": delta_l}
+            doc = {"p_L": p_l, "q_L": p_l, "Delta_L": delta_l}
         elif args.kind == "schedule":
             schedule = tuned_batch_params(
                 args.epsilon, args.num_actions, args.num_players
@@ -58,8 +58,8 @@ def _cmd_bounds(args) -> int:
                 "beta_pow_l_window": list(schedule.beta_pow_l_window),
             }
         else:  # tau
-            params = BoundParams(gamma=args.gamma, epsilon=args.epsilon, C=args.constant)
-            doc = {"expected_tau_bound": anytime_tau_bound(params, args.w_min)}
+            doc = {"expected_tau_bound": anytime_tau_bound(
+                args.gamma, args.epsilon, args.w_min, C=args.constant)}
     except ValueError as exc:
         print(f"bounds error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

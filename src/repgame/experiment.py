@@ -37,7 +37,7 @@ from .game import (
     load_game,
     solve_bimatrix_nash,
 )
-from .simulate import INCONCLUSIVE, MODES, EpisodeConfig, MonteCarloReport, monte_carlo
+from .simulate import INCONCLUSIVE, KINDS, MODES, EpisodeConfig, MonteCarloReport, monte_carlo
 from .strategies import ConfigurationError, make_deviation
 
 SCHEMA_VERSION = 1
@@ -123,14 +123,6 @@ _SPEC_FIELDS = {
     "curve_horizons": [int], "output_dir": str,
 }
 
-# Spec fields of each enforcement kind, with their types.
-_ENFORCEMENT_FIELDS = {
-    "anytime": {"gamma": float},
-    "batch": {"delta": float, "batch_length": int},
-    "batch_tuned": {"epsilon": float},
-    "grim": {},
-}
-
 
 def _typed(where: str, name: str, value, kind):
     """``value`` read as ``kind``, or a SpecError naming the field.
@@ -169,9 +161,12 @@ def _mode(name):
 
 def _resolve_enforcement(spec: dict) -> dict:
     kind = spec.get("kind")
-    if not isinstance(kind, str) or kind not in _ENFORCEMENT_FIELDS:
+    if kind == "batch_tuned":  # spec-only; build_config resolves it to batch
+        fields = {"epsilon": float}
+    elif isinstance(kind, str) and kind in KINDS:
+        fields = KINDS[kind].fields
+    else:
         raise SpecError(f"unknown enforcement kind {kind!r}")
-    fields = _ENFORCEMENT_FIELDS[kind]
     for name in fields:
         _require(spec, name)
     return {"kind": kind, **_read_fields("enforcement", spec, fields)}

@@ -18,6 +18,7 @@ import numpy as np
 SIMPLEX_ATOL = 1e-9
 NASH_TOL = 1e-9
 PROFILE_EQ_ATOL = 1e-12
+PUNISHMENT_NASH_TOL = 1e-6  # best-response gap a target's punishment profile may have
 
 
 class GameError(ValueError):
@@ -75,11 +76,11 @@ class MixedAction:
         """The K - 1 cumulative edges p_0, p_0 + p_1, ... that a uniform draw is bisected on."""
         return tuple(itertools.accumulate(self.probs[:-1].tolist()))
 
-    def close_to(self, other: "MixedAction", atol: float = PROFILE_EQ_ATOL) -> bool:
+    def close_to(self, other: "MixedAction") -> bool:
         if self is other:  # probs are finite, so allclose(x, x) holds
             return True
         return len(self) == len(other) and bool(
-            np.allclose(self.probs, other.probs, rtol=0.0, atol=atol)
+            np.allclose(self.probs, other.probs, rtol=0.0, atol=PROFILE_EQ_ATOL)
         )
 
 
@@ -102,9 +103,9 @@ class MixedProfile:
     def __getitem__(self, i: int) -> MixedAction:
         return self.actions[i]
 
-    def close_to(self, other: "MixedProfile", atol: float = PROFILE_EQ_ATOL) -> bool:
+    def close_to(self, other: "MixedProfile") -> bool:
         return len(self) == len(other) and all(
-            a.close_to(b, atol) for a, b in zip(self.actions, other.actions)
+            a.close_to(b) for a, b in zip(self.actions, other.actions)
         )
 
 
@@ -288,18 +289,16 @@ class PayoffTarget:
             object.__setattr__(self, "punishment", MixedProfile(tuple(self.punishment)))
 
     @classmethod
-    def from_profiles(
-        cls, game: StageGame, cooperative, punishment, nash_tol: float = 1e-6
-    ) -> "PayoffTarget":
+    def from_profiles(cls, game: StageGame, cooperative, punishment) -> "PayoffTarget":
         if not isinstance(cooperative, MixedProfile):
             cooperative = MixedProfile(tuple(cooperative))
         if not isinstance(punishment, MixedProfile):
             punishment = MixedProfile(tuple(punishment))
         target = cls(expected_utility(game, cooperative), cooperative, punishment)
-        target.validate(game, nash_tol=nash_tol)
+        target.validate(game)
         return target
 
-    def validate(self, game: StageGame, nash_tol: float = 1e-6) -> None:
+    def validate(self, game: StageGame) -> None:
         """Check feasibility, individual rationality, and the punishment equilibrium."""
         achieved = expected_utility(game, self.cooperative)
         if not np.allclose(achieved, self.v, rtol=0.0, atol=1e-9):
@@ -308,7 +307,7 @@ class PayoffTarget:
         if np.any(self.v < floor - 1e-9):
             raise GameError("target payoff below the punishment payoff for some player")
         gap = best_response_gap(game, self.punishment).max()
-        if gap > nash_tol:
+        if gap > PUNISHMENT_NASH_TOL:
             raise GameError(f"punishment profile is not a stage Nash equilibrium (gap {gap})")
 
     def punishment_payoffs(self, game: StageGame) -> np.ndarray:

@@ -10,7 +10,7 @@ e_t >= N / gamma: it decides on the action counts, exactly within TIE_BAND.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np

@@ -33,15 +33,22 @@ oracle applies the same rule on a forward pass over the count lattice, with
 the closed form from the same table as the float value.
 
 Each enforcement kind (anytime, batch, grim, none) is one class in the
-``_KINDS`` table. An instance is the episode's enforcement: it holds the
-test state every player shares and reports when punishment starts, so
-``run_episode`` fixes the punishment onset once and cooperators switch from
-the cooperative to the punishment profile there. ``run_episode`` builds a
-MixedProfile only under perfect monitoring, where it is the public record.
-It records the joint actions and looks up the realized stage payoffs once,
-after the loop; under expected accounting a round that plays the same
-MixedAction objects as the round before reuses that round's payoff row. The
-per-player strategies in ``repgame.strategies`` (``anytime_ttp_act``,
+``KINDS`` table, with the EpisodeConfig fields it needs and their types. An
+instance is the episode's enforcement: it holds the test state every player
+shares and reports when punishment starts, so ``run_episode`` fixes the
+punishment onset once and cooperators switch from the cooperative to the
+punishment profile there.
+
+The payoff rule follows the monitoring. Under perfect monitoring the public
+record of a round is the played MixedProfile, nothing is drawn, and the
+stage payoff is that profile's expected payoff; a round that plays the same
+MixedAction objects as the round before reuses that round's payoff row.
+Under imperfect monitoring every player draws a pure action, the record is
+the joint draw, and the stage payoffs of the realized draws are looked up
+once, after the loop. Either way ``Trajectory.actions`` is the public
+history's list of records.
+
+The per-player strategies in ``repgame.strategies`` (``anytime_ttp_act``,
 ``batch_ttp_act``, ``grim_trigger_act``) remain the reference definitions
 that the episode loop is tested against.
 
@@ -90,6 +97,7 @@ SURVIVAL_GRID = (1, 10, 100, 1_000, 10_000, 100_000)
 _CHUNK = 16_384  # rounds _eprocess_tau scores at once; keeps its temporaries in cache
 DEFAULT_CONCLUSIVE_HORIZON = 10_000
 INCONCLUSIVE = "inconclusive: horizon certificate"
+WILSON_Z = 1.959963984540054  # the standard normal 97.5% quantile
 
 
 @dataclass
@@ -107,7 +115,6 @@ class EpisodeConfig:
     delta: float | None = None
     batch_length: int | None = None
     deviations: dict = field(default_factory=dict)  # player index -> strategy
-    payoff_accounting: str | None = None  # realized | expected
     gap_family: list = field(default_factory=list)  # (label, player, strategy)
     curve_horizons: tuple = ()
 
@@ -120,11 +127,11 @@ class EpisodeConfig:
             raise GameError("seed must be >= 0")
         if self.monitoring not in ("imperfect", "perfect"):
             raise GameError(f"unknown monitoring mode {self.monitoring!r}")
-        kind = _KINDS.get(self.enforcement)
+        kind = KINDS.get(self.enforcement)
         if kind is None:
             raise GameError(f"unknown enforcement kind {self.enforcement!r}")
-        if any(getattr(self, name) is None for name in kind.needs):
-            needs = " and ".join(kind.needs)
+        if any(getattr(self, name) is None for name in kind.fields):
+            needs = " and ".join(kind.fields)
             raise GameError(f"{self.enforcement} enforcement needs {needs}")
         if kind.monitoring not in (None, self.monitoring):
             raise GameError(f"{self.enforcement} enforcement needs {kind.monitoring} monitoring")
@@ -134,8 +141,6 @@ class EpisodeConfig:
                 raise GameError(f"{name} must lie in (0, 1)")
         if self.batch_length is not None and self.batch_length < 1:
             raise GameError("batch_length must be >= 1")
-        if self.payoff_accounting is None:
-            self.payoff_accounting = "expected" if self.monitoring == "perfect" else "realized"
 
 
 @dataclass
@@ -180,10 +185,11 @@ def sample_action(rng: np.random.Generator, action: MixedAction) -> int:
     return bisect.bisect_right(action.edges, rng.random())
 
 
-def wilson_interval(successes: int, n: int, z: float = 1.959963984540054):
+def wilson_interval(successes: int, n: int):
     """95% Wilson score interval for a binomial rate."""
     if n < 1:
         raise GameError("need at least one trial")
+    z = WILSON_Z
     phat = successes / n
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2 * n)) / denom
@@ -230,12 +236,13 @@ class _Enforcement:
     joint action, or the mixed profile under perfect monitoring) and returns
     True once punishment applies from round t + 1. Class attributes give the
     monitoring the kind needs (None: either) and its required EpisodeConfig
-    fields. The kinds that Monte Carlo modes run under add per-replication
+    fields with their types, which spec enforcement fields are read as. The
+    kinds that Monte Carlo modes run under add per-replication
     samplers (``type1_rep``, ``payoff_rep``) and the bounds the modes check.
     """
 
     monitoring = None
-    needs = ()
+    fields = {}
 
     def __init__(self, config: EpisodeConfig):
         self.config = config
@@ -251,7 +258,7 @@ class _Anytime(_Enforcement):
     """One plug-in e-process per player; rejection time tau in rounds."""
 
     monitoring = "imperfect"
-    needs = ("gamma",)
+    fields = {"gamma": float}
 
     def __init__(self, config: EpisodeConfig):
         super().__init__(config)
@@ -295,7 +302,7 @@ class _Batch(_Enforcement):
     """
 
     monitoring = "imperfect"
-    needs = ("delta", "batch_length")
+    fields = {"delta": float, "batch_length": int}
 
     def __init__(self, config: EpisodeConfig):
         super().__init__(config)
@@ -324,7 +331,7 @@ class _Batch(_Enforcement):
     @staticmethod
     def p_L(config: EpisodeConfig) -> float:
         """The paper's bound on one batch's wrongful rejection probability."""
-        p_l, _, _ = batch_error_bounds(
+        p_l, _ = batch_error_bounds(
             config.game.max_action_count,
             config.game.num_players,
             config.batch_length,
@@ -359,7 +366,7 @@ class _Grim(_Enforcement):
         return not self.on_path
 
 
-_KINDS = {"anytime": _Anytime, "batch": _Batch, "grim": _Grim, "none": _Enforcement}
+KINDS = {"anytime": _Anytime, "batch": _Batch, "grim": _Grim, "none": _Enforcement}
 
 
 # ---------------------------------------------------------------------------
@@ -371,13 +378,11 @@ def run_episode(config: EpisodeConfig, replication: int = 0) -> Trajectory:
     """Play one episode round by round; fully deterministic given the seed."""
     game, target = config.game, config.target
     n = game.num_players
-    enforcement = _KINDS[config.enforcement](config)
+    enforcement = KINDS[config.enforcement](config)
     history = PublicHistory(mode=config.monitoring)
     rngs = [_stream(config.seed, replication, i, 0) for i in range(n)]
     perfect = config.monitoring == "perfect"
-    expected = perfect and config.payoff_accounting == "expected"
-    actions_log, joints, rows = [], [], []
-    played, punishment_onset = None, None
+    rows, played, punishment_onset = [], None, None
 
     for t in range(config.horizon):
         plan = target.cooperative if punishment_onset is None else target.punishment
@@ -385,7 +390,7 @@ def run_episode(config: EpisodeConfig, replication: int = 0) -> Trajectory:
             config.deviations[i].act(history, t) if i in config.deviations else plan[i]
             for i in range(n)
         ]
-        if expected:
+        if perfect:
             record = MixedProfile(tuple(mixed))
             # The expected payoff depends only on the mixed actions, so a
             # round that plays the same objects as the last reuses its row.
@@ -393,40 +398,36 @@ def run_episode(config: EpisodeConfig, replication: int = 0) -> Trajectory:
                 row, played = expected_utility(game, record), record.actions
             rows.append(row)
         else:
-            joint = tuple(sample_action(rngs[i], mixed[i]) for i in range(n))
-            joints.append(joint)
-            # Perfect monitoring makes the mixed profile public, else the draws.
-            record = MixedProfile(tuple(mixed)) if perfect else joint
-        actions_log.append(record)
+            record = tuple(sample_action(rngs[i], mixed[i]) for i in range(n))
         history.append(record)
         if enforcement.observe(t, record) and punishment_onset is None:
             punishment_onset = t + 1
 
-    if expected:
+    if perfect:
         stage_payoffs = np.array(rows)
     else:
-        stage_payoffs = _joint_stage_payoffs(game, list(np.array(joints, dtype=np.int64).T))
+        draws = np.array(history.rounds, dtype=np.int64).T
+        stage_payoffs = _joint_stage_payoffs(game, list(draws))
     return Trajectory(
         monitoring=config.monitoring,
-        actions=actions_log,
+        actions=history.rounds,
         stage_payoffs=stage_payoffs,
         punishment_onset=punishment_onset,
         rejection_times=enforcement.rejection_times(),
     )
 
 
-def discounted_payoffs(traj: Trajectory, beta: float, start: int = 0):
-    """Normalized discounted payoffs over the recorded window, with certificate.
+def discounted_payoffs(traj: Trajectory, beta: float):
+    """Normalized discounted payoffs over the recorded rounds, with certificate.
 
-    Returns ((1 - beta) * sum_{t >= start} beta^(t - start) u_t, beta^(T - start)).
-    The certificate bounds the discarded tail since payoffs lie in [0, 1].
+    Returns ((1 - beta) * sum_t beta^t u_t, beta^T). The certificate bounds
+    the discarded tail since payoffs lie in [0, 1].
     """
     horizon = traj.stage_payoffs.shape[0]
-    if horizon == 0 or start >= horizon:
-        raise GameError("empty trajectory window")
-    weights = (1.0 - beta) * beta ** np.arange(horizon - start)
-    payoffs = weights @ traj.stage_payoffs[start:]
-    return payoffs, beta ** (horizon - start)
+    if horizon == 0:
+        raise GameError("empty trajectory")
+    weights = (1.0 - beta) * beta ** np.arange(horizon)
+    return weights @ traj.stage_payoffs, beta**horizon
 
 
 # ---------------------------------------------------------------------------
@@ -721,7 +722,7 @@ class _Type1(_Mode):
         conclusive threshold; below it a non-violating rate is inconclusive
         because unobserved rejections past T cannot be excluded.
         """
-        name, bound, p_l = _KINDS[config.enforcement].type1_bound(config)
+        name, bound, p_l = KINDS[config.enforcement].type1_bound(config)
         out = []
         if p_l is not None:
             batch_rate = report.estimates["per_batch_rejection_rate"]
@@ -837,6 +838,13 @@ class _Payoff(_Mode):
                 "extras": extras}
 
     def checks(self, spec, config, report):
+        """The sandwich per player; none when deviations are declared.
+
+        The lower bound holds for cooperative play only: a detected deviator
+        sends every player to punishment, which can take them below it.
+        """
+        if config.deviations:
+            return []
         lower = report.extras["theoretical_lower"]
         upper = report.extras["theoretical_upper"]
         mean, se = report.estimates["mean_payoff"], report.estimates["payoff_se"]
@@ -1000,7 +1008,7 @@ def monte_carlo(config: EpisodeConfig, mode: str, replications: int) -> MonteCar
                         "with declared deviations: it samples cooperative play only")
     return MonteCarloReport(mode=mode, replications=replications, base_seed=config.seed,
                             truncation_certificate=config.beta**config.horizon,
-                            **entry.run(config, _KINDS[config.enforcement], replications))
+                            **entry.run(config, KINDS[config.enforcement], replications))
 
 
 # ---------------------------------------------------------------------------

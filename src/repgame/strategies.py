@@ -16,16 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .game import (
-    GameError,
-    MixedAction,
-    MixedProfile,
-    PayoffTarget,
-    StageGame,
-    pure_action_payoffs,
-    tv_ball_contains,
-)
-from .sequential import BatchTestState, EProcessState, StalenessError
+from .game import MixedAction, MixedProfile, PayoffTarget, StageGame, pure_action_payoffs
+from .sequential import BatchTestState, StalenessError
 
 
 class ModeError(ValueError):

@@ -192,7 +192,7 @@ def test_acceptance_6_perfect_monitoring_folk_theorem():
 def test_acceptance_7_batch_bounds():
     """Per-batch false rejections and payoffs respect the batch bounds."""
     length, delta, beta = 500, 0.3, 0.999
-    p_l, _, _ = batch_error_bounds(2, 2, length, delta, beta)
+    p_l, _ = batch_error_bounds(2, 2, length, delta, beta)
     assert p_l == pytest.approx(8 * math.exp(-22.5), rel=1e-12)
 
     # 10 replications x 2 players x 50_000 batches = 1e6 cooperative batches.
@@ -247,7 +247,7 @@ def test_acceptance_8_batch_adversary_containment():
             _, rejected = batch_test(counts, length, coop[0], delta)
             if rejected:
                 ok = False
-            _, _, delta_l = batch_error_bounds(2, 2, length, delta, beta)
+            _, delta_l = batch_error_bounds(2, 2, length, delta, beta)
             stage = pure_action_payoffs(game, coop, 0)
             weights = beta ** np.arange(length)
             value = float(weights @ stage[dev.schedule])

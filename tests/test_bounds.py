@@ -6,27 +6,24 @@ from hypothesis import strategies as st
 
 from repgame import (
     BoundParamError,
-    BoundParams,
     anytime_tau_bound,
     batch_error_bounds,
     tuned_batch_params,
-    zeta_bound,
 )
 
 
 class TestBatchErrorBounds:
     def test_zero_delta_clamps_to_one(self):
-        p_l, q_l, _ = batch_error_bounds(2, 2, 100, 0.0, 0.9)
-        assert p_l == 1.0 and q_l == 1.0
+        p_l, _ = batch_error_bounds(2, 2, 100, 0.0, 0.9)
+        assert p_l == 1.0
 
     def test_frozen_value_l500(self):
-        p_l, q_l, _ = batch_error_bounds(2, 2, 500, 0.3, 0.999)
+        p_l, _ = batch_error_bounds(2, 2, 500, 0.3, 0.999)
         assert p_l == pytest.approx(8 * math.exp(-22.5), rel=1e-12)
-        assert q_l == p_l
 
     def test_delta_l_formula(self):
         beta = 0.99 ** (1 / 100)  # beta^L = 0.99 at L = 100
-        _, _, delta_l = batch_error_bounds(2, 2, 100, 0.1, beta)
+        _, delta_l = batch_error_bounds(2, 2, 100, 0.1, beta)
         assert delta_l == pytest.approx(0.13, abs=1e-12)
 
     def test_parameter_ranges(self):
@@ -38,7 +35,7 @@ class TestBatchErrorBounds:
     @given(length=st.integers(1, 10_000), delta=st.floats(0.0, 1.0))
     @settings(max_examples=50, deadline=None)
     def test_probability_typed_output_in_unit_interval(self, length, delta):
-        p_l, _, _ = batch_error_bounds(2, 2, length, delta, 0.9)
+        p_l, _ = batch_error_bounds(2, 2, length, delta, 0.9)
         assert 0.0 <= p_l <= 1.0
 
 
@@ -67,45 +64,26 @@ class TestTunedBatchParams:
 
 class TestAnytimeTauBound:
     def test_frozen_value(self):
-        params = BoundParams(gamma=0.05, epsilon=0.2, C=1.0)
-        value = anytime_tau_bound(params, 0.5)
+        value = anytime_tau_bound(0.05, 0.2, 0.5, C=1.0)
         expected = 10 * math.log(20) / 0.04 + (1 + math.log(2)) / 0.2**5
         assert value == pytest.approx(expected, rel=1e-12)
         assert value == pytest.approx(6040.0, abs=0.1)
 
     def test_zero_support_is_infinite(self):
-        assert anytime_tau_bound(BoundParams(), 0.0) == math.inf
+        assert anytime_tau_bound(0.05, 0.1, 0.0) == math.inf
 
     def test_decreasing_in_epsilon(self):
-        lo = anytime_tau_bound(BoundParams(epsilon=0.1), 0.5)
-        hi = anytime_tau_bound(BoundParams(epsilon=0.2), 0.5)
+        lo = anytime_tau_bound(0.05, 0.1, 0.5)
+        hi = anytime_tau_bound(0.05, 0.2, 0.5)
         assert hi < lo
 
-
-class TestZetaBound:
-    def test_trivial_at_small_t(self):
-        params = BoundParams(gamma=0.1, epsilon=0.5)
-        assert zeta_bound(0, params, 0.5) == 1.0
-        assert zeta_bound(1, params, 0.5) == 1.0
-
-    def test_one_below_detection_floor(self):
-        params = BoundParams(gamma=0.1, epsilon=0.5)
-        floor = 10 * math.log(10) / 0.25
-        assert zeta_bound(int(floor) - 1, params, 0.5) == 1.0
-
-    def test_direct_formula_large_t(self):
-        params = BoundParams(gamma=0.1, epsilon=0.5)
-        t, eps, w_min = 10_000, 0.5, 0.5
-        log_t = math.log(t)
-        expected = (
-            t * math.exp(-2 * t * eps**2 / log_t**2)
-            + math.exp(-4 * t * eps**4 / log_t)
-            + math.exp(-t * eps**4 / (2 * abs(math.log(w_min))))
-        )
-        assert zeta_bound(t, params, w_min) == pytest.approx(min(1.0, expected), rel=1e-12)
-
-    @given(t=st.integers(0, 10**6))
-    @settings(max_examples=60, deadline=None)
-    def test_clamped_to_unit_interval(self, t):
-        value = zeta_bound(t, BoundParams(gamma=0.2, epsilon=0.3), 0.4)
-        assert 0.0 <= value <= 1.0
+    @pytest.mark.parametrize("gamma, epsilon, w_min, C, message", [
+        (0.0, 0.1, 0.5, 1.0, "gamma must lie in"),
+        (1.0, 0.1, 0.5, 1.0, "gamma must lie in"),
+        (0.05, 0.0, 0.5, 1.0, "epsilon must be positive"),
+        (0.05, 0.1, 0.5, 0.0, "universal constants must be positive"),
+        (0.05, 0.1, 1.5, 1.0, "w_min must lie in"),
+    ])
+    def test_parameter_ranges(self, gamma, epsilon, w_min, C, message):
+        with pytest.raises(BoundParamError, match=message):
+            anytime_tau_bound(gamma, epsilon, w_min, C=C)

@@ -147,19 +147,48 @@ class TestRunExperiment:
                 float(cells[i])
 
     def test_assertion_failure_exits_2(self, tmp_path):
-        # The payoff sandwich holds for cooperative play only; a defecting
-        # player is detected immediately (out-of-support action) and lands
-        # far below the lower bound, deterministically failing the check.
+        # A "deviator" that plays the cooperative action itself is detected
+        # only as often as the test errs (at most gamma per player), so a
+        # required detection rate of one half fails.
         spec = base_spec(
-            mode="payoff",
-            target={"cooperative": [[1, 0], [1, 0]], "punishment": "solve"},
-            deviations=[{"kind": "stationary", "player": 0, "probs": [0, 1]}],
+            mode="detection",
+            deviations=[{"kind": "stationary", "player": 0, "probs": [0.5, 0.5]}],
+            min_detection_rate=0.5,
             replications=10,
         )
         code = run_experiment(write_spec(tmp_path, spec))
         assert code == EXIT_ASSERTION_FAILURE
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-        assert any(a["status"] == "fail" for a in summary["assertions"])
+        assert [(a["name"], a["status"]) for a in summary["assertions"]] == \
+            [("detected_rate_ge_min", "fail")]
+
+    def test_payoff_with_deviations_has_no_sandwich(self, tmp_path):
+        # The sandwich bounds cooperative play. Here player 1 sometimes plays
+        # action 2, outside the cooperative support, so it is detected and
+        # every player is punished: the means (about 0.25) lie far below the
+        # lower bound (1 - gamma) v = 0.4275, on correct code.
+        game = {
+            "num_players": 2,
+            "action_counts": [3, 3],
+            "utilities": [[[0.6, 0.3, 0.0], [0.3, 0.6, 0.0], [0.8, 0.8, 0.2]],
+                          [[0.6, 0.3, 0.8], [0.3, 0.6, 0.8], [0.0, 0.0, 0.2]]],
+        }
+        spec = base_spec(
+            mode="payoff",
+            game=game,
+            target={"cooperative": [[0.5, 0.5, 0], [0.5, 0.5, 0]], "punishment": "solve"},
+            deviations=[{"kind": "stationary", "player": 1, "probs": [0.48, 0.48, 0.04]}],
+            replications=40,
+            horizon=20_000,
+        )
+        assert main(["run", str(write_spec(tmp_path, spec))]) == EXIT_OK
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["assertions"] == []
+        assert summary["extras"]["theoretical_lower"] == pytest.approx([0.4275] * 2)
+        assert max(summary["estimates"]["mean_payoff"]) < 0.4275
+        cells = [re.split(r"\s{2,}", line.strip())
+                 for line in emit_report(tmp_path / "out").splitlines()]
+        assert ["player", "lower bound", "estimate", "v"] in cells
 
     def test_truncated_cooperative_payoff_passes_sandwich(self, tmp_path):
         # Pure cooperation earns v (1 - beta^T) = 0.5189 at T = 2000 and

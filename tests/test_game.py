@@ -63,7 +63,6 @@ class TestMixedAction:
     def test_close_to_itself(self):
         action = MixedAction([0.25, 0.75])
         assert action.close_to(action)
-        assert action.close_to(action, atol=0.0)
 
     def test_edges_are_the_cumulative_sums(self):
         action = MixedAction([0.2, 0.3, 0.5])

@@ -17,6 +17,7 @@ from repgame import (
     PayoffTarget,
     StageGame,
     Stationary,
+    Trajectory,
     discounted_payoffs,
     eprocess_exact_oracle,
     expected_utility,
@@ -127,11 +128,6 @@ class TestEpisodeConfig:
             config(enforcement=enforcement, monitoring=monitoring,
                    delta=0.3, batch_length=10)
 
-    def test_default_accounting_follows_monitoring(self):
-        assert config().payoff_accounting == "realized"
-        assert config(monitoring="perfect", enforcement="grim",
-                      gamma=None).payoff_accounting == "expected"
-
 
 class TestRunEpisode:
     def test_pure_stationary_is_deterministic(self):
@@ -226,20 +222,11 @@ class TestDiscountedPayoffs:
         _, cert = discounted_payoffs(traj, 0.99)
         assert cert == pytest.approx(1.8637e-9, rel=1e-3)
 
-    def test_continuation_start(self):
-        traj = run_episode(config(
-            target=PURE_COOP,
-            deviations={0: Stationary([1, 0]), 1: Stationary([1, 0])},
-            horizon=10,
-        ))
-        payoffs, cert = discounted_payoffs(traj, 0.9, start=4)
-        assert np.allclose(payoffs, 0.6 * (1 - 0.9**6), atol=1e-12)
-        assert cert == pytest.approx(0.9**6)
-
     def test_empty_window(self):
-        traj = run_episode(config(horizon=5))
-        with pytest.raises(GameError):
-            discounted_payoffs(traj, 0.9, start=5)
+        traj = Trajectory(monitoring="imperfect", actions=[], stage_payoffs=np.zeros((0, 2)),
+                          punishment_onset=None, rejection_times=[None, None])
+        with pytest.raises(GameError, match="empty trajectory"):
+            discounted_payoffs(traj, 0.9)
 
 
 class TestWilsonInterval:
@@ -670,10 +657,9 @@ class TestEnforcementKinds:
                 batch_update(tests[i], joint[i], MIXED_COOP.cooperative[i], 0.5)
         assert [s.fired_at_batch for s in tests] == traj.rejection_times
 
-    @pytest.mark.parametrize("accounting", ["expected", "realized"])
-    def test_grim_cooperators_follow_reference(self, accounting):
+    def test_grim_cooperators_follow_reference(self):
         cfg = config(target=PURE_COOP, monitoring="perfect", enforcement="grim",
-                     gamma=None, horizon=60, payoff_accounting=accounting,
+                     gamma=None, horizon=60,
                      deviations={0: OneShotDeviation(PURE_COOP, 0, 20, 1)})
         traj = run_episode(cfg)
         assert traj.punishment_onset == 21
@@ -701,8 +687,11 @@ class TestEnforcementKinds:
 
 
 def pinned_episode(case):
-    """One configuration of the episode pins: (kind, deviator, accounting)."""
-    kind, deviator, accounting = case
+    """One configuration of the episode pins: (kind, deviator, payoff rule).
+
+    The payoff rule follows the monitoring, so the third item only labels it.
+    """
+    kind, deviator, _ = case
     deviations = {
         "stationary": lambda: {0: Stationary([0.6, 0.4])},
         "batch_adversarial": lambda: {0: BatchAdversarial(PD, MIXED_COOP, 0, 50, 0.3)},
@@ -713,7 +702,7 @@ def pinned_episode(case):
         "anytime": {},
         "batch": {"gamma": None, "delta": 0.3, "batch_length": 50},
         "none": {"gamma": None},
-        "grim": {"gamma": None, "monitoring": "perfect", "payoff_accounting": accounting,
+        "grim": {"gamma": None, "monitoring": "perfect",
                  "target": PURE_COOP if deviator == "defect_from" else MIXED_COOP},
     }[kind]
     return config(enforcement=kind, horizon=200, seed=5, deviations=deviations, **extra)
@@ -733,7 +722,7 @@ def episode_digest(traj):
     return h.hexdigest()[:16]
 
 
-# (kind, deviator, accounting): (punishment onset, rejection times, digest)
+# (kind, deviator, payoff rule): (punishment onset, rejection times, digest)
 EPISODE_PINS = {
     ("anytime", "stationary", "realized"): (31, [31, 42], "96f07f890e0c73a0"),
     ("anytime", "batch_adversarial", "realized"): (3, [3, 7], "67cf0818e610730d"),
@@ -746,8 +735,6 @@ EPISODE_PINS = {
     ("none", "one_shot", "realized"): (None, [None, None], "58fbc190048898c1"),
     ("grim", "one_shot", "expected"): (38, [None, None], "f3548d6f059a537d"),
     ("grim", "defect_from", "expected"): (31, [None, None], "0282368936f47320"),
-    ("grim", "one_shot", "realized"): (38, [None, None], "86cb7f72d70737df"),
-    ("grim", "defect_from", "realized"): (31, [None, None], "0282368936f47320"),
 }
 
 
@@ -762,8 +749,9 @@ class TestEpisodePins:
 
     @pytest.mark.parametrize("case", list(EPISODE_PINS), ids="-".join)
     def test_stage_payoffs_follow_each_round(self, monkeypatch, case):
-        # Each row is the realized payoff of that round's draws, or the
-        # expected payoff of that round's mixed profile.
+        # Each row is the realized payoff of that round's draws under
+        # imperfect monitoring, or the expected payoff of that round's mixed
+        # profile under perfect monitoring, which draws nothing.
         draws = []
         original = simulate.sample_action
 
@@ -775,14 +763,13 @@ class TestEpisodePins:
         cfg = pinned_episode(case)
         traj = run_episode(cfg, 2)
         assert traj.stage_payoffs.shape == (cfg.horizon, 2)
-        if cfg.payoff_accounting == "expected":
+        if cfg.monitoring == "perfect":
             assert not draws
             expected = [expected_utility(PD, profile) for profile in traj.actions]
         else:
             joints = [tuple(draws[2 * t: 2 * t + 2]) for t in range(cfg.horizon)]
             assert len(draws) == 2 * cfg.horizon
-            if cfg.monitoring == "imperfect":
-                assert traj.actions == joints
+            assert traj.actions == joints
             expected = [PD.payoff(joint) for joint in joints]
         for row, want in zip(traj.stage_payoffs, expected):
             assert row.tobytes() == want.tobytes()
