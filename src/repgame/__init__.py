@@ -33,7 +33,6 @@ from .sequential import (
     EProcessState,
     StalenessError,
     TestInputError,
-    anytime_verdict,
     batch_test,
     batch_update,
     eprocess_crossed,

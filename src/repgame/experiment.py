@@ -403,6 +403,6 @@ def emit_report(result_dir) -> str:
         ]
         sections.append(_format_table(["assertion", "status", "observed", "bound"], table))
     else:
-        sections.append("no assertable inequalities for this mode")
+        sections.append(mode.no_assertions)
     sections.append(f"rows: {len(rows)}")
     return "\n".join(sections) + "\n"

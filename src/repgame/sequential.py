@@ -1,14 +1,17 @@
 """Statistical enforcement layer: plug-in e-processes and batch L1 tests.
 
-The e-process accumulates in log domain; products of hundreds of likelihood
-ratios overflow in linear domain. Verdict thresholds are inclusive (>=).
-An observation outside the support of the reference action forces the log
-accumulator to +inf: detection is certain and the episode continues into
-punishment rather than erroring. ``eprocess_crossed`` is the one rule for
-e_t >= N / gamma: it decides on the action counts, exactly within TIE_BAND.
+The e-process depends on a player's stream only through the action counts,
+e_t = (K-1)! prod_a c_a! / ((t+K-1)! prod_a w_a^c_a) with t = sum(counts).
+Its log is evaluated one way everywhere, on the table of ``log_e_table``;
+products of hundreds of likelihood ratios would overflow in linear domain.
+An observation outside the support of the reference action makes log e_t
++inf: detection is certain and the episode continues into punishment rather
+than erroring. ``eprocess_crossed`` is the one rule for e_t >= N / gamma
+(inclusive): it decides on the action counts, exactly within TIE_BAND.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,19 +29,65 @@ class StalenessError(TestInputError):
     """A test state is out of sync with the caller's clock."""
 
 
-# Float log e_t decides outside this band of log(N / gamma). Both float paths
-# stay far inside it at t <= 1e5: the running sum of the per-round fold
-# (eprocess_update, simulate._eprocess_log_traj; tested within 1e-7 of the
-# closed form) and the lgamma closed form on the counts (simulate._eprocess_tau
-# and the exact oracle; tested within 1e-9 to depth 200). Against a 50-digit
-# reference at t = 1e3, 1e4, 1e5 the measured errors are <= 4.7e-10 and
-# <= 3.1e-10 respectively (six streams, K = 2 to 4).
+# Float log e_t decides outside this band of log(N / gamma). The closed form
+# on the table of log_e_table, the one float path, stays far inside it: it is
+# tested within TIE_BAND / 10 of a math.fsum reference at t = 1e3, 1e4, 1e5
+# (K = 2 to 4, on- and off-reference play) and within 1e-9 of the exact value
+# to depth 200. Against a 50-digit reference on those streams the measured
+# error is <= 3.2e-10.
 TIE_BAND = 1e-6
+
+
+@functools.lru_cache(maxsize=16)
+def _log_factorials(n: int) -> np.ndarray:
+    """Read-only table of lgamma(m + 1) for m = 0..n.
+
+    Entries below m = 32 are math.lgamma; above, the Stirling series through
+    1 / (1680 x^7), within 4.4e-16 relative of math.lgamma up to n = 2e6.
+    """
+    table = np.empty(n + 1)
+    small = min(n + 1, 32)
+    table[:small] = [math.lgamma(m + 1) for m in range(small)]
+    x = np.arange(33.0, n + 2.0)
+    inv = 1.0 / x
+    inv2 = inv * inv
+    series = inv * (1 / 12 - inv2 * (1 / 360 - inv2 * (1 / 1260 - inv2 / 1680)))
+    table[32:] = (x - 0.5) * np.log(x) - x + (0.5 * math.log(2.0 * math.pi) + series)
+    table.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=4)  # 2.4 MB each for K = 2 at n = 1e5
+def log_e_table(w_ref: tuple, n: int):
+    """The closed form of log e_t for t <= n, as read-only (base, terms).
+
+    base[t] = lgamma(K) - lgamma(t + K) and terms[a][c] = lgamma(c + 1)
+    - c log w_a, which is +inf for c > 0 when w_a = 0. Every evaluation sums
+    log e_t = base[t] + (terms[0][c_0] + ... + terms[K-1][c_{K-1}]) in that
+    order, so the same counts give the same float on every path.
+    """
+    num_actions = len(w_ref)
+    logfact = _log_factorials(n + num_actions - 1)
+    base = logfact[num_actions - 1] - logfact[num_actions - 1:]
+    terms, c = np.empty((num_actions, n + 1)), np.arange(n + 1)
+    for row, w in zip(terms, w_ref):
+        if w > 0.0:  # filled in place: no K x n temporaries
+            np.subtract(logfact[: n + 1], np.multiply(c, math.log(w), out=row), out=row)
+        else:
+            row[:], row[0] = math.inf, 0.0
+    base.flags.writeable = terms.flags.writeable = False
+    return base, terms
+
+
+def log_e_at(table, counts) -> float:
+    """log e_t on the action counts, from a ``log_e_table`` as Python lists."""
+    base, terms = table
+    return base[sum(counts)] + sum(map(list.__getitem__, terms, counts))
 
 
 @dataclass
 class EProcessState:
-    """Per-player accumulator for the plug-in e-process.
+    """Per-player action counts for the plug-in e-process.
 
     ``fired_at`` is the round index from which punishment applies: it is set
     to the number of observations seen when the threshold was first crossed,
@@ -48,7 +97,6 @@ class EProcessState:
     player: int
     counts: np.ndarray
     t: int = 0
-    log_e: float = 0.0
     fired_at: int | None = None
 
     @classmethod
@@ -60,24 +108,14 @@ class EProcessState:
         return self.counts.size
 
 
-def eprocess_update(state: EProcessState, action: int, w_ref: MixedAction,
+def eprocess_update(state: EProcessState, action: int,
                     expected_t: int | None = None) -> EProcessState:
-    """Fold one observed pure action into the e-process accumulator.
-
-    The plug-in predictor uses counts from strictly earlier rounds, so the
-    ratio is computed before the new observation is counted.
-    """
+    """Count one observed pure action."""
     if expected_t is not None and state.t != expected_t:
         raise StalenessError(f"state at t={state.t}, caller at t={expected_t}")
     if not 0 <= action < state.num_actions:
         raise TestInputError(f"action {action} out of range")
-    ref, seen = w_ref[action], int(state.counts[action])
-    if ref <= 0.0:
-        state.log_e = math.inf
-    elif math.isfinite(state.log_e):
-        pred = (seen + 1.0) / (state.t + state.num_actions)
-        state.log_e += math.log(pred) - math.log(ref)
-    state.counts[action] = seen + 1
+    state.counts[action] += 1
     state.t += 1
     return state
 
@@ -97,23 +135,6 @@ def eprocess_crossed(counts, w_ref, gamma: float, num_players: int, log_e=None) 
     numerator = math.factorial(k - 1) * math.prod(map(math.factorial, counts))
     denominator = math.factorial(sum(counts) + k - 1) * math.prod(map(pow, w, counts))
     return numerator * Fraction(gamma) >= num_players * denominator
-
-
-def anytime_verdict(state: EProcessState, w_ref: MixedAction, gamma: float,
-                    num_players: int) -> bool:
-    """Whether the e-process has crossed the Ville threshold N / gamma.
-
-    On the first crossing the state records ``fired_at`` (the round index
-    from which punishment applies).
-    """
-    if not 0.0 < gamma < 1.0:
-        raise TestInputError("gamma must lie in (0, 1)")
-    if num_players < 1:
-        raise TestInputError("num_players must be >= 1")
-    fired = eprocess_crossed(state.counts, w_ref, gamma, num_players, state.log_e)
-    if fired and state.fired_at is None:
-        state.fired_at = state.t
-    return fired
 
 
 @dataclass

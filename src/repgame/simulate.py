@@ -18,19 +18,18 @@ of n actions equals n successive scalar draws from the same stream. The
 scalar path bisects the edges that each MixedAction computes once and caches
 (``MixedAction.edges``).
 
-The e-process scores round t (0-based) by log((c + 1) / (t + K)) - log w_a,
-where a is the observed action and c the number of earlier rounds that
-played a; an action outside the support of w scores +inf. tau is the number
-of rounds scored when e_t first reaches N / gamma. The per-round fold
-(``eprocess_update`` in the episode loop) sums those increments. The Monte
-Carlo path (``_eprocess_tau``) instead evaluates the lgamma closed form on
-the action counts, log e_t = lgamma(K) - lgamma(t + K)
-+ sum_a (lgamma(c_a + 1) - c_a log w_a), chunk by chunk from one cached
-log-factorial table (``_log_factorials``). Rounds whose float value comes
-within TIE_BAND of log(N / gamma) are decided by ``eprocess_crossed`` on
-their counts, exactly near a tie, so both paths give the same tau; the exact
-oracle applies the same rule on a forward pass over the count lattice, with
-the closed form from the same table as the float value.
+The e-process depends on a stream only through its action counts, and
+every path evaluates the same closed form on them from
+``sequential.log_e_table``: log e_t = base[t] + (terms[0][c_0] + ... +
+terms[K-1][c_{K-1}]), with base[t] = lgamma(K) - lgamma(t + K) and
+terms[a][c] = lgamma(c + 1) - c log w_a (+inf for c > 0 when w_a = 0). The
+episode loop (``_Anytime``) evaluates it on its counts every round, the
+Monte Carlo path (``_eprocess_tau``) chunk by chunk on the whole stream, and
+the exact oracle on every state of its forward pass over the count lattice;
+on the same counts all three give the same float. tau is the number of
+rounds scored when e_t first reaches N / gamma. Each path computes
+log(N / gamma) - TIE_BAND once and sends only the rounds at or above it to
+``eprocess_crossed``, which decides exactly near a tie.
 
 Each enforcement kind (anytime, batch, grim, none) is one class in the
 ``KINDS`` table, with the EpisodeConfig fields it needs and their types. An
@@ -61,7 +60,6 @@ lays out the tables ``repgame report`` prints. ``monte_carlo`` and
 from __future__ import annotations
 
 import bisect
-import functools
 import logging
 import math
 import os
@@ -83,10 +81,11 @@ from .sequential import (
     TIE_BAND,
     BatchTestState,
     EProcessState,
-    anytime_verdict,
     batch_update,
     eprocess_crossed,
     eprocess_update,
+    log_e_at,
+    log_e_table,
 )
 from .strategies import PublicHistory
 
@@ -265,12 +264,20 @@ class _Anytime(_Enforcement):
         self.tests = [
             EProcessState.fresh(i, k) for i, k in enumerate(config.game.action_counts)
         ]
+        self.tables = [
+            [part.tolist() for part in log_e_table(tuple(w.probs.tolist()), config.horizon)]
+            for w in config.target.cooperative
+        ]
+        self.near = math.log(len(self.tests)) - math.log(config.gamma) - TIE_BAND
 
     def observe(self, t: int, record) -> bool:
         cooperative, n = self.config.target.cooperative, len(self.tests)
         for i, state in enumerate(self.tests):
-            eprocess_update(state, record[i], cooperative[i], expected_t=t)
-            anytime_verdict(state, cooperative[i], self.config.gamma, n)
+            eprocess_update(state, record[i], expected_t=t)
+            log_e = log_e_at(self.tables[i], state.counts.tolist())
+            if (state.fired_at is None and log_e >= self.near and eprocess_crossed(
+                    state.counts, cooperative[i], self.config.gamma, n, log_e)):
+                state.fired_at = state.t
         return any(s.fired_at is not None for s in self.tests)
 
     def rejection_times(self) -> list:
@@ -435,77 +442,47 @@ def discounted_payoffs(traj: Trajectory, beta: float):
 # ---------------------------------------------------------------------------
 
 
-def _eprocess_log_traj(actions: np.ndarray, w_ref: np.ndarray) -> np.ndarray:
-    """Cumulative log e-process over an observed action stream."""
-    horizon = actions.size
-    num_actions = w_ref.size
-    # seen[t] = c + 1: how often actions[t] occurs in actions[: t + 1].
-    seen = np.zeros(horizon, dtype=np.int64)
-    for a in range(num_actions):
-        hit = actions == a
-        seen += np.cumsum(hit) * hit
-    with np.errstate(divide="ignore"):
-        log_w = np.log(w_ref)
-    logs = np.log(seen / np.arange(num_actions, horizon + num_actions)) - log_w[actions]
-    return np.cumsum(logs, out=logs)
+def _log_e_chunk(table, chunk: np.ndarray, start: int, carried: np.ndarray):
+    """log e_t at t = start + 1 .. start + chunk.size, and the counts after the chunk.
 
-
-@functools.lru_cache(maxsize=16)
-def _log_factorials(n: int) -> np.ndarray:
-    """Read-only table of lgamma(m + 1) for m = 0..n.
-
-    Entries below m = 32 are math.lgamma; above, the Stirling series through
-    1 / (1680 x^7), within 4.4e-16 relative of math.lgamma up to n = 2e6.
+    ``chunk`` holds rounds start .. start + chunk.size - 1 of a stream and
+    ``carried`` the action counts of the rounds before it; ``table`` is a
+    ``log_e_table`` for at least start + chunk.size rounds.
     """
-    table = np.empty(n + 1)
-    small = min(n + 1, 32)
-    table[:small] = [math.lgamma(m + 1) for m in range(small)]
-    x = np.arange(33.0, n + 2.0)
-    inv = 1.0 / x
-    inv2 = inv * inv
-    series = inv * (1 / 12 - inv2 * (1 / 360 - inv2 * (1 / 1260 - inv2 / 1680)))
-    table[32:] = (x - 0.5) * np.log(x) - x + (0.5 * math.log(2.0 * math.pi) + series)
-    table.flags.writeable = False
-    return table
+    base, terms = table
+    stop = start + chunk.size
+    # t minus the other actions' counts: the last action's counts.
+    last = np.arange(start + 1, stop + 1)
+    counts = []
+    for a in range(terms.shape[0] - 1):
+        seen = (chunk == a).astype(np.int64)
+        np.cumsum(seen, out=seen)  # ~3x faster on int64 than on bool
+        seen += carried[a]
+        last -= seen
+        counts.append(seen)
+    counts.append(last)
+    log_e = terms[0].take(counts[0])
+    for a in range(1, len(counts)):
+        log_e += terms[a].take(counts[a])
+    log_e += base[start + 1: stop + 1]
+    return log_e, np.array([c[-1] for c in counts])
 
 
 def _eprocess_tau(actions: np.ndarray, w_ref: np.ndarray, gamma: float, num_players: int):
     """First punishment round implied by the e-process, or None.
 
-    Scores _CHUNK rounds at a time on the closed form of log e_t over the
-    counts of the first t rounds; rounds at or above log(N / gamma) - TIE_BAND
-    are decided by ``eprocess_crossed`` on those counts.
+    Scores _CHUNK rounds at a time with ``_log_e_chunk``; rounds at or above
+    log(N / gamma) - TIE_BAND are decided by ``eprocess_crossed`` on their
+    counts.
     """
-    num_actions = w_ref.size
-    logfact = _log_factorials(actions.size + num_actions - 1)
-    with np.errstate(divide="ignore"):
-        log_w = np.log(w_ref)
+    table = log_e_table(tuple(w_ref.tolist()), actions.size)
     near = math.log(num_players) - math.log(gamma) - TIE_BAND
-    carried = np.zeros(num_actions, dtype=np.int64)
+    carried = np.zeros(w_ref.size, dtype=np.int64)
     for start in range(0, actions.size, _CHUNK):
         chunk = actions[start: start + _CHUNK]
-        first = start + num_actions  # logfact[first] = lgamma(t + K) at t = start + 1
-        log_e = logfact[num_actions - 1] - logfact[first: first + chunk.size]
-        # t minus the other actions' counts: the last action's counts.
-        last = np.arange(start + 1, start + 1 + chunk.size)
-        ends = carried.copy()
-        for a in range(num_actions):
-            if a < num_actions - 1:
-                counts = (chunk == a).astype(np.int64)
-                np.cumsum(counts, out=counts)  # ~3x faster on int64 than on bool
-                counts += carried[a]
-                last -= counts
-            else:
-                counts = last
-            ends[a] = counts[-1]
-            if w_ref[a] > 0.0:
-                term = logfact.take(counts)
-                term -= counts * log_w[a]
-                log_e += term
-            else:  # no 0 * -inf: an unsupported action makes e_t infinite
-                log_e[counts > 0] = math.inf
+        log_e, ends = _log_e_chunk(table, chunk, start, carried)
         for t in np.flatnonzero(log_e >= near):
-            counts = carried + np.bincount(chunk[: t + 1], minlength=num_actions)
+            counts = carried + np.bincount(chunk[: t + 1], minlength=w_ref.size)
             if eprocess_crossed(counts, w_ref, gamma, num_players, log_e[t]):
                 return start + t + 1
         carried = ends
@@ -682,13 +659,15 @@ class _Mode:
     estimates, intervals and, as the mode needs, survival and extras;
     ``checks(spec, config, report)`` gives its assertions, and
     ``tables(summary)`` the blocks ``repgame report`` prints for it: each a
-    ``(headers, rows)`` table or one line of text.
+    ``(headers, rows)`` table or one line of text. ``no_assertions`` is the
+    line the report prints when a run of the mode asserts nothing.
     """
 
     kinds = frozenset()
     cooperative = frozenset()
     fields = {}
     min_replications = 1
+    no_assertions = "no assertable inequalities for this mode"
 
 
 class _Type1(_Mode):
@@ -818,6 +797,9 @@ class _Payoff(_Mode):
 
     kinds = frozenset({"anytime", "batch"})
     min_replications = 2  # the payoff SE
+    # checks() asserts nothing exactly when the run declares deviations.
+    no_assertions = ("no assertions for this run: it declares deviations, and the "
+                     "payoff sandwich bounds cooperative play only")
 
     def run(self, config, kind, replications):
         results, rows = _replicate(config, "payoff", kind.payoff_rep, replications)
@@ -1016,19 +998,6 @@ def monte_carlo(config: EpisodeConfig, mode: str, replications: int) -> MonteCar
 # ---------------------------------------------------------------------------
 
 
-def _log_e_terms(weights: list, depth: int) -> list:
-    """terms[a][c] = lgamma(c + 1) - c log w_a for c <= depth (0 at c = 0).
-
-    A term is +inf for c > 0 when w_a = 0. With t = sum(counts), the closed
-    form is log e_t = lgamma(K) - lgamma(t + K) + sum_a terms[a][c_a].
-    """
-    logfact, c = _log_factorials(depth), np.arange(depth + 1)
-    return [
-        (logfact - c * math.log(w) if w > 0.0 else np.where(c > 0, math.inf, 0.0)).tolist()
-        for w in weights
-    ]
-
-
 def eprocess_exact_oracle(
     num_actions: int,
     w_ref: MixedAction,
@@ -1043,11 +1012,11 @@ def eprocess_exact_oracle(
     count lattice that removes the mass crossing at each step. The caller
     compares this against gamma; the function itself just reports the number.
 
-    Each lattice state is decided float-then-exact by ``eprocess_crossed``:
-    the closed form log e_t = lgamma(K) - lgamma(t + K)
-    + sum_{c_a > 0} (lgamma(c_a + 1) - c_a log w_a), which stays within 1e-9
-    of the exact value at the depths tested, decides outside TIE_BAND of
-    log(N / gamma); only states within the band are compared in Fraction.
+    Each lattice state is decided float-then-exact: log e_t from
+    ``log_e_table`` (the closed form the episode loop and the stream kernel
+    evaluate, within 1e-9 of the exact value at the depths tested) decides
+    below log(N / gamma) - TIE_BAND, and ``eprocess_crossed`` the rest, in
+    Fraction only within TIE_BAND of log(N / gamma).
     """
     if depth < 1:
         raise GameError("depth must be >= 1")
@@ -1055,20 +1024,19 @@ def eprocess_exact_oracle(
     if probs.size != num_actions:
         raise GameError("w_ref dimension does not match num_actions")
     weights = probs.tolist()
-    terms = _log_e_terms(weights, depth)
-    logfact = _log_factorials(depth + num_actions - 1).tolist()
+    table = [part.tolist() for part in log_e_table(tuple(weights), depth)]
+    near = math.log(num_players) - math.log(gamma) - TIE_BAND
     live, crossed = {(0,) * num_actions: 1.0}, 0.0
-    for t in range(1, depth + 1):
+    for _ in range(depth):
         step = {}
         for counts, mass in live.items():
             for a, p in enumerate(weights):
                 nxt = counts[:a] + (counts[a] + 1,) + counts[a + 1:]
                 step[nxt] = step.get(nxt, 0.0) + mass * p
-        base = logfact[num_actions - 1] - logfact[t + num_actions - 1]
         live = {}
         for counts, mass in step.items():
-            log_e = base + sum(map(list.__getitem__, terms, counts))
-            if eprocess_crossed(counts, probs, gamma, num_players, log_e):
+            log_e = log_e_at(table, counts)
+            if log_e >= near and eprocess_crossed(counts, probs, gamma, num_players, log_e):
                 crossed += mass
             else:
                 live[counts] = mass

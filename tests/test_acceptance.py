@@ -34,9 +34,8 @@ from repgame import (
     solve_bimatrix_nash,
     wilson_interval,
 )
-from repgame.simulate import _eprocess_log_traj
 
-from conftest import record_acceptance
+from conftest import kernel_log_traj, record_acceptance
 
 PD = StageGame(2, (2, 2), ([[0.6, 0.0], [1.0, 0.2]], [[0.6, 1.0], [0.0, 0.2]]))
 MATCHING_PENNIES = StageGame(2, (2, 2), ([[1, 0], [0, 1]], [[0, 1], [1, 0]]))
@@ -90,7 +89,7 @@ def test_acceptance_2_unit_mean_martingale():
                     + c * math.log(probs[1]) + (t - c) * math.log(probs[0])
                 )
                 stream = rng.permutation(np.repeat([1, 0], [c, t - c]))
-                total += math.exp(log_mass + _eprocess_log_traj(stream, w_ref)[-1])
+                total += math.exp(log_mass + kernel_log_traj(stream, w_ref)[-1])
             if not abs(total - 1.0) <= 1e-9:
                 ok = False
     check(2, "exact e-process mean over the count lattice within 1e-9 of 1", ok)

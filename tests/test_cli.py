@@ -189,6 +189,9 @@ class TestRunExperiment:
         cells = [re.split(r"\s{2,}", line.strip())
                  for line in emit_report(tmp_path / "out").splitlines()]
         assert ["player", "lower bound", "estimate", "v"] in cells
+        assert ["no assertions for this run: it declares deviations, and the payoff "
+                "sandwich bounds cooperative play only"] in cells
+        assert ["no assertable inequalities for this mode"] not in cells
 
     def test_truncated_cooperative_payoff_passes_sandwich(self, tmp_path):
         # Pure cooperation earns v (1 - beta^T) = 0.5189 at T = 2000 and

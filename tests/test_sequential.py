@@ -8,98 +8,99 @@ from hypothesis import strategies as st
 from repgame import (
     BatchTestState,
     EProcessState,
+    GameError,
     MixedAction,
     StalenessError,
     TestInputError as InputError,
-    anytime_verdict,
     batch_test,
     batch_update,
+    eprocess_crossed,
     eprocess_exact_oracle,
     eprocess_update,
 )
 from repgame.simulate import _eprocess_tau
 
+from conftest import anytime_enforcement, kernel_log_traj
+
 UNIFORM = MixedAction([0.5, 0.5])
+
+
+def kernel(actions, probs):
+    """log e_t after each round of ``actions`` under reference ``probs``."""
+    return kernel_log_traj(np.array(actions, dtype=np.int64), np.array(probs))
 
 
 class TestEProcess:
     def test_first_update_uniform_is_unit(self):
         state = EProcessState.fresh(0, 2)
-        eprocess_update(state, 0, UNIFORM)
-        assert state.log_e == pytest.approx(0.0, abs=1e-15)
+        eprocess_update(state, 0)
+        assert kernel([0], (0.5, 0.5))[-1] == pytest.approx(0.0, abs=1e-15)
         assert state.t == 1 and state.counts.tolist() == [1, 0]
 
     def test_two_repeats_give_four_thirds(self):
-        state = EProcessState.fresh(0, 2)
-        eprocess_update(state, 0, UNIFORM)
-        eprocess_update(state, 0, UNIFORM)
-        assert math.exp(state.log_e) == pytest.approx(4 / 3, rel=1e-12)
+        assert math.exp(kernel([0, 0], (0.5, 0.5))[-1]) == pytest.approx(4 / 3, rel=1e-12)
 
     def test_out_of_support_forces_infinity(self):
         state = EProcessState.fresh(0, 2)
-        eprocess_update(state, 1, MixedAction([1.0, 0.0]))
-        assert state.log_e == math.inf
-        assert anytime_verdict(state, MixedAction([1.0, 0.0]), 0.5, 2)
+        eprocess_update(state, 1)
+        log_e = kernel([1], (1.0, 0.0))[-1]
+        assert log_e == math.inf
+        assert eprocess_crossed(state.counts, MixedAction([1.0, 0.0]), 0.5, 2, log_e)
 
     def test_staleness_check(self):
         state = EProcessState.fresh(0, 2)
-        eprocess_update(state, 0, UNIFORM, expected_t=0)
+        eprocess_update(state, 0, expected_t=0)
         with pytest.raises(StalenessError):
-            eprocess_update(state, 0, UNIFORM, expected_t=0)
+            eprocess_update(state, 0, expected_t=0)
 
     def test_action_out_of_range(self):
         with pytest.raises(InputError):
-            eprocess_update(EProcessState.fresh(0, 2), 2, UNIFORM)
+            eprocess_update(EProcessState.fresh(0, 2), 2)
 
     def test_determinism(self):
         rng = np.random.default_rng(1)
         obs = rng.integers(0, 2, size=200)
-        logs = []
-        for _ in range(2):
-            state = EProcessState.fresh(0, 2)
-            traj = []
-            for a in obs:
-                eprocess_update(state, int(a), MixedAction([0.7, 0.3]))
-                traj.append(state.log_e)
-            logs.append(traj)
+        logs = [kernel(obs, (0.7, 0.3)).tolist() for _ in range(2)]
         assert logs[0] == logs[1]
 
 
 class TestAnytimeVerdict:
     def test_inclusive_threshold(self):
         # w = (1/2, 1/2), N = 1, gamma = 1/2: the path 0, 0, 0 has
-        # e_3 = (1/2)(2/3)(3/4) / (1/8) = 2 = N / gamma exactly, while the
-        # running float sum lands one ulp below log 2. The scalar fold, the
-        # vector kernel and the exact oracle must all fire at t = 3.
-        state = EProcessState.fresh(0, 2)
-        verdicts = []
-        for _ in range(3):
-            eprocess_update(state, 0, UNIFORM)
-            verdicts.append(anytime_verdict(state, UNIFORM, 0.5, 1))
-        assert state.log_e < math.log(2)
-        assert verdicts == [False, False, True] and state.fired_at == 3
+        # e_3 = (1/2)(2/3)(3/4) / (1/8) = 2 = N / gamma exactly, so the float
+        # log e_3 lies within TIE_BAND of log 2 and the exact rule decides. The
+        # vector kernel and the exact oracle must fire at t = 3, and so must
+        # the episode loop at its own tie cell.
+        log_e = kernel([0, 0, 0], (0.5, 0.5))
+        assert abs(log_e[2] - math.log(2)) <= 1e-12
+        counts = [[1, 0], [2, 0], [3, 0]]
+        verdicts = [eprocess_crossed(c, UNIFORM, 0.5, 1, v) for c, v in zip(counts, log_e)]
+        assert verdicts == [False, False, True]
+        # The episode loop has N >= 2 players; its tie cell is w = (1/4, 3/4),
+        # N = 2, gamma = 1/8, where 0, 0, 0 gives e_3 = 4^3 / 4 = 16 = N / gamma.
+        enforcement, _ = anytime_enforcement([0.25, 0.75], 0.125, 20)
+        assert [enforcement.observe(t, (0, 1)) for t in range(3)] == [False, False, True]
+        assert enforcement.rejection_times() == [3, None]
         assert _eprocess_tau(np.zeros(3, dtype=np.int64), UNIFORM.probs, 0.5, 1) == 3
         assert eprocess_exact_oracle(2, UNIFORM, 0.5, 1, 2) == 0.0
         assert eprocess_exact_oracle(2, UNIFORM, 0.5, 1, 3) == 0.25  # paths 000 and 111
 
     def test_unit_process_below_threshold(self):
-        state = EProcessState.fresh(0, 2)
-        assert not anytime_verdict(state, UNIFORM, 0.05, 2)  # 1 < 40
+        assert not eprocess_crossed([0, 0], UNIFORM, 0.05, 2)  # 1 < 40
 
     def test_fired_at_immutable(self):
-        state = EProcessState.fresh(0, 2)
-        state.log_e = math.inf
-        state.t = 3
-        anytime_verdict(state, UNIFORM, 0.1, 1)
-        assert state.fired_at == 3
-        state.t = 9
-        anytime_verdict(state, UNIFORM, 0.1, 1)
-        assert state.fired_at == 3
+        # Player 0 plays outside the support of (1, 0) in round 0 and fires
+        # there; its rejection time stays 1 while player 1 fires later.
+        enforcement, _ = anytime_enforcement([1.0, 0.0], 0.1, 20)
+        assert enforcement.observe(0, (1, 0))
+        assert enforcement.rejection_times() == [1, None]
+        for t in range(1, 9):
+            assert enforcement.observe(t, (1, int(t >= 3)))
+        assert enforcement.rejection_times() == [1, 4]
 
     def test_parameter_range(self):
-        state = EProcessState.fresh(0, 2)
-        with pytest.raises(InputError):
-            anytime_verdict(state, UNIFORM, 1.5, 2)
+        with pytest.raises(GameError, match="gamma must lie in"):
+            anytime_enforcement([0.5, 0.5], 1.5, 20)
 
 
 class TestBatchTest:

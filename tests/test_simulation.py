@@ -27,12 +27,15 @@ from repgame import (
     wilson_interval,
 )
 from repgame.sequential import (
+    TIE_BAND,
     BatchTestState,
     EProcessState,
-    anytime_verdict,
+    _log_factorials,
     batch_update,
     eprocess_crossed,
     eprocess_update,
+    log_e_at,
+    log_e_table,
 )
 from repgame.strategies import (
     PublicHistory,
@@ -42,13 +45,12 @@ from repgame.strategies import (
 )
 from repgame.simulate import (
     _draw_actions,
-    _eprocess_log_traj,
     _eprocess_tau,
-    _log_e_terms,
-    _log_factorials,
     _worker_count,
     sample_action,
 )
+
+from conftest import anytime_enforcement, kernel_log_traj
 
 PD = StageGame(2, (2, 2), ([[0.6, 0.0], [1.0, 0.2]], [[0.6, 1.0], [0.0, 0.2]]))
 PURE_COOP = PayoffTarget.from_profiles(
@@ -349,18 +351,11 @@ class TestMonteCarlo:
         assert report.estimates["curve"][0]["analytic_lower_bound"] is not None
 
 
-def one_hot_log_traj(actions, w_ref):
-    """Reference e-process: (T, K) one-hot counts, masked for w_ref == 0."""
-    horizon, num_actions = actions.size, w_ref.size
-    one_hot = np.zeros((horizon, num_actions))
-    one_hot[np.arange(horizon), actions] = 1.0
-    before = np.cumsum(one_hot, axis=0) - one_hot
-    pred = (before[np.arange(horizon), actions] + 1.0) / (np.arange(horizon) + num_actions)
-    ref = w_ref[actions]
-    logs = np.full(horizon, np.inf)
-    ok = ref > 0.0
-    logs[ok] = np.log(pred[ok]) - np.log(ref[ok])
-    return np.cumsum(logs)
+def one_hot_counts(actions, num_actions):
+    """(T, K) action counts after each round, from a cumulative one-hot sum."""
+    one_hot = np.zeros((actions.size, num_actions), dtype=np.int64)
+    one_hot[np.arange(actions.size), actions] = 1
+    return np.cumsum(one_hot, axis=0)
 
 
 def seeded_streams():
@@ -380,13 +375,30 @@ def seeded_streams():
 
 
 class TestStreamKernels:
-    def test_eprocess_matches_one_hot_reference(self):
+    def test_eprocess_matches_one_hot_reference(self, monkeypatch):
+        # One float path: the episode enforcement, the stream kernel and the
+        # oracle's formula (log_e_at on one-hot counts) give the same log e_t
+        # bit for bit, round by round, on every seeded stream.
         zero_refs = 0
         for actions, w_ref in seeded_streams():
-            assert np.array_equal(
-                _eprocess_log_traj(actions, w_ref), one_hot_log_traj(actions, w_ref)
-            )
-            zero_refs += bool(np.any(w_ref[actions] == 0.0))
+            enforcement, w_ref = anytime_enforcement(w_ref, 0.05, actions.size)
+            episode = []
+
+            def spy(table, counts):
+                episode.append(log_e_at(table, counts))
+                return episode[-1]
+
+            monkeypatch.setattr(simulate, "log_e_at", spy)
+            for t, a in enumerate(actions.tolist()):
+                enforcement.observe(t, (a, a))
+            monkeypatch.undo()
+            table = [part.tolist() for part in log_e_table(tuple(w_ref.tolist()), actions.size)]
+            oracle = [log_e_at(table, c) for c in one_hot_counts(actions, w_ref.size).tolist()]
+            kernel = kernel_log_traj(actions, w_ref)
+            assert np.array_equal(episode[::2], kernel)  # player 0 of each round
+            assert np.array_equal(episode[1::2], kernel)
+            assert np.array_equal(oracle, kernel)
+            zero_refs += bool(np.isinf(kernel).any())
         assert zero_refs > 0  # the +inf path is exercised
 
     @pytest.mark.parametrize(
@@ -403,38 +415,44 @@ class TestStreamKernels:
         assert set(scalar) == {a for a, p in enumerate(action.probs) if p > 0}
 
     def test_scalar_fold_crosses_at_vector_tau(self):
+        # The episode enforcement folds the stream round by round; both
+        # players play it, and each fires where the vector path does.
         gamma, num_players = 0.05, 2
         crossings = []
         for actions, w_ref in seeded_streams():
-            state = EProcessState.fresh(0, w_ref.size)
-            for a in actions:
-                eprocess_update(state, int(a), MixedAction(w_ref))
-                if anytime_verdict(state, MixedAction(w_ref), gamma, num_players):
+            enforcement, w_ref = anytime_enforcement(w_ref, gamma, actions.size)
+            for t, a in enumerate(actions.tolist()):
+                if enforcement.observe(t, (a, a)):
                     break
-            assert state.fired_at == _eprocess_tau(actions, w_ref, gamma, num_players)
-            crossings.append(state.fired_at)
+            fired_at, _ = enforcement.rejection_times()
+            assert fired_at == _eprocess_tau(actions, w_ref, gamma, num_players)
+            crossings.append(fired_at)
         assert None in crossings and any(c is not None for c in crossings)
 
-    def test_running_sum_within_tenth_of_tie_band(self):
-        # _eprocess_tau trusts the float sum outside TIE_BAND = 1e-6, so the
-        # sum must stay well inside that band of the closed form
-        # log e_t = log (K-1)! + sum_a log c_a! - log (t+K-1)! - sum_a c_a log w_a.
-        # Cooperative and off-reference play, K in {2, 3, 4}.
-        worst = 0.0
+    def test_kernel_within_tenth_of_tie_band_of_fsum(self):
+        # _eprocess_tau, the episode loop and the oracle trust the closed form
+        # outside TIE_BAND = 1e-6, so the kernel must stay well inside that
+        # band of log e_t = log (K-1)! + sum_a log c_a! - log (t+K-1)!
+        # - sum_a c_a log w_a, summed here exactly (math.fsum) over the
+        # math.log of every factor. On- and off-reference play, K in {2, 3, 4}.
+        worst, sizes = 0.0, set()
         for seed in range(8):
             rng = np.random.default_rng([11, seed])
             num_actions = 2 + seed % 3
             w_ref = rng.dirichlet(np.ones(num_actions))
             play = w_ref if seed % 2 == 0 else rng.dirichlet(np.ones(num_actions))
             actions = _draw_actions(rng, play, 100_000)
-            cum = _eprocess_log_traj(actions, w_ref)
+            log_e = kernel_log_traj(actions, w_ref)
             for t in (1_000, 10_000, 100_000):
-                counts = np.bincount(actions[:t], minlength=num_actions)
-                closed = (math.lgamma(num_actions) - math.lgamma(t + num_actions)
-                          + sum(math.lgamma(c + 1) - c * math.log(w)
-                                for c, w in zip(counts, w_ref)))
-                worst = max(worst, abs(cum[t - 1] - closed))
-        assert worst <= 1e-7
+                counts = np.bincount(actions[:t], minlength=num_actions).tolist()
+                parts = [-math.log(j) for j in range(num_actions, t + num_actions)]
+                for c, w in zip(counts, w_ref.tolist()):
+                    parts += map(math.log, range(1, c + 1))
+                    parts.append(-c * math.log(w))
+                worst = max(worst, abs(log_e[t - 1] - math.fsum(parts)))
+            sizes.add((num_actions, seed % 2))
+        assert len(sizes) == 6
+        assert worst <= TIE_BAND / 10  # measured 3.2e-10
 
     @pytest.mark.parametrize("enforcement", ["anytime", "batch"])
     @pytest.mark.parametrize("deviations", [
@@ -470,12 +488,12 @@ class TestStreamKernels:
 
 def first_crossing(actions, w_ref, gamma, num_players):
     """The crossing rule round by round: the first t at which
-    eprocess_crossed fires on the counts and the running sum at t."""
-    cum = _eprocess_log_traj(actions, w_ref)
+    eprocess_crossed fires on the counts and the kernel's log e_t."""
+    log_e = kernel_log_traj(actions, w_ref)
     counts = np.zeros(w_ref.size, dtype=np.int64)
     for t, a in enumerate(actions):
         counts[a] += 1
-        if eprocess_crossed(counts, w_ref, gamma, num_players, cum[t]):
+        if eprocess_crossed(counts, w_ref, gamma, num_players, log_e[t]):
             return t + 1
     return None
 
@@ -491,9 +509,9 @@ def balanced_then_zeros(crossing_round):
     balanced = 2 * (crossing_round // 4)
     actions = np.zeros(crossing_round + 20, dtype=np.int64)
     actions[:balanced] = np.arange(balanced) % 2
-    cum = _eprocess_log_traj(actions, np.array([0.5, 0.5]))
-    assert cum[crossing_round - 1] > max(cum[: crossing_round - 1].max(), math.log(2))
-    threshold = (cum[crossing_round - 1] + cum[crossing_round]) / 2
+    log_e = kernel_log_traj(actions, np.array([0.5, 0.5]))
+    assert log_e[crossing_round - 1] > max(log_e[: crossing_round - 1].max(), math.log(2))
+    threshold = (log_e[crossing_round - 1] + log_e[crossing_round]) / 2
     return actions, 2 * math.exp(-threshold)
 
 
@@ -634,13 +652,17 @@ class TestEnforcementKinds:
         cfg = config(horizon=60, seed=2, deviations={0: Stationary([0.3, 0.7])})
         traj = run_episode(cfg)
         assert traj.rejection_times == [13, 18]  # both phases, and a late rejection
+        # The reference decides every round on the counts in Fraction, with
+        # no float log e_t.
         tests = [EProcessState.fresh(i, 2) for i in range(2)]
         for t, joint in enumerate(traj.actions):
             reference = anytime_ttp_act(tests, MIXED_COOP, 1, t=t)
             assert np.array_equal(drawn[2 * t + 1].probs, reference.probs)
-            for i in range(2):
-                eprocess_update(tests[i], joint[i], MIXED_COOP.cooperative[i], expected_t=t)
-                anytime_verdict(tests[i], MIXED_COOP.cooperative[i], 0.05, 2)
+            for i, state in enumerate(tests):
+                eprocess_update(state, joint[i], expected_t=t)
+                if state.fired_at is None and eprocess_crossed(
+                        state.counts, MIXED_COOP.cooperative[i], 0.05, 2):
+                    state.fired_at = state.t
         assert [s.fired_at for s in tests] == traj.rejection_times
 
     def test_batch_cooperators_follow_reference(self, monkeypatch):
@@ -825,7 +847,7 @@ class TestExactOracle:
 
     @pytest.mark.parametrize("probs", [(0.8, 0.2), (0.2, 0.3, 0.5), (0.25, 0.0, 0.75)])
     def test_closed_form_log_e_within_1e9_of_exact(self, probs):
-        # The oracle trusts the lgamma closed form outside TIE_BAND = 1e-6 of
+        # Every path trusts the lgamma closed form outside TIE_BAND = 1e-6 of
         # log(N / gamma), so on every lattice state up to depth 200 it must
         # stay well inside that band of the exact log e_t. Exactly,
         # e_t = (K-1)! / (t+K-1)! * prod_a c_a! / w_a^c_a, a product of
@@ -836,7 +858,7 @@ class TestExactOracle:
         def exact_log(q):
             return math.log(q.numerator) - math.log(q.denominator)
 
-        terms = np.array(_log_e_terms(list(probs), depth))
+        base, terms = log_e_table(probs, depth)
         exact_terms = np.array([
             [math.inf if p == 0.0 and c else
              exact_log(math.factorial(c) / Fraction(p) ** c) for c in range(depth + 1)]
@@ -847,14 +869,14 @@ class TestExactOracle:
             head = np.indices((t + 1,) * (k - 1)).reshape(k - 1, -1)
             head = head[:, head.sum(axis=0) <= t]
             counts = np.vstack([head, t - head.sum(axis=0)])
-            # The oracle's order: base + (terms[0][c_0] + terms[1][c_1] + ...).
+            # The table's order: base + (terms[0][c_0] + terms[1][c_1] + ...).
             closed = terms[0][counts[0]]
             exact = exact_log(Fraction(math.factorial(k - 1), math.factorial(t + k - 1)))
             exact = exact + exact_terms[0][counts[0]]
             for a in range(1, k):
                 closed = closed + terms[a][counts[a]]
                 exact = exact + exact_terms[a][counts[a]]
-            closed = math.lgamma(k) - math.lgamma(t + k) + closed
+            closed = base[t] + closed
             finite = np.isfinite(exact)
             assert np.array_equal(np.isfinite(closed), finite)
             infinite += int((~finite).sum())
