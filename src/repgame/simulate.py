@@ -7,9 +7,9 @@ most beta ** T, which every report carries as a truncation certificate.
 Random streams are derived per (replication, player, purpose) from the base
 seed, so replications are order-independent and reproducible regardless of
 worker count. Monte Carlo modes whose play is stationary-until-punishment
-use vectorized samplers that draw whole action streams (or batch count
-vectors directly from the multinomial) instead of stepping rounds one at a
-time; these are distributionally identical to the episode protocol.
+use vectorized samplers that draw action streams a chunk at a time (or batch
+count vectors directly from the multinomial) instead of stepping rounds one
+at a time; these are distributionally identical to the episode protocol.
 
 Both paths sample a pure action the same way: with u = rng.random() and the
 K - 1 cumulative edges p_0, p_0 + p_1, ..., p_0 + ... + p_{K-2}, the action
@@ -24,12 +24,17 @@ every path evaluates the same closed form on them from
 terms[K-1][c_{K-1}]), with base[t] = lgamma(K) - lgamma(t + K) and
 terms[a][c] = lgamma(c + 1) - c log w_a (+inf for c > 0 when w_a = 0). The
 episode loop (``_Anytime``) evaluates it on its counts every round, the
-Monte Carlo path (``_eprocess_tau``) chunk by chunk on the whole stream, and
-the exact oracle on every state of its forward pass over the count lattice;
-on the same counts all three give the same float. tau is the number of
-rounds scored when e_t first reaches N / gamma. Each path computes
+Monte Carlo path (``_eprocess_tau``) on each chunk of a stream as it is
+drawn, and the exact oracle on every state of its forward pass over the
+count lattice; on the same counts all three give the same float. tau is the
+number of rounds scored when e_t first reaches N / gamma. Each path computes
 log(N / gamma) - TIE_BAND once and sends only the rounds at or above it to
 ``eprocess_crossed``, which decides exactly near a tie.
+
+The anytime Monte Carlo path draws, scores and drops (``_anytime_rep``):
+each player's actions come ``_CHUNK`` rounds at a time and each chunk is
+scored as it is drawn. A chunked draw from one stream equals one whole draw,
+so every tau, onset and payoff is the same as on the whole stream.
 
 Each enforcement kind (anytime, batch, grim, none) is one class in the
 ``KINDS`` table, with the EpisodeConfig fields it needs and their types. An
@@ -93,7 +98,9 @@ logger = logging.getLogger("repgame")
 
 WORKERS_ENV = "REPGAME_WORKERS"
 SURVIVAL_GRID = (1, 10, 100, 1_000, 10_000, 100_000)
-_CHUNK = 16_384  # rounds _eprocess_tau scores at once; keeps its temporaries in cache
+# Rounds drawn and scored at once: each chunk's temporaries stay in cache and
+# no array the size of the horizon is built.
+_CHUNK = 16_384
 DEFAULT_CONCLUSIVE_HORIZON = 10_000
 INCONCLUSIVE = "inconclusive: horizon certificate"
 WILSON_Z = 1.959963984540054  # the standard normal 97.5% quantile
@@ -468,24 +475,38 @@ def _log_e_chunk(table, chunk: np.ndarray, start: int, carried: np.ndarray):
     return log_e, np.array([c[-1] for c in counts])
 
 
-def _eprocess_tau(actions: np.ndarray, w_ref: np.ndarray, gamma: float, num_players: int):
-    """First punishment round implied by the e-process, or None.
+class _Scan:
+    """One player's anytime test part way through a stream.
 
-    Scores _CHUNK rounds at a time with ``_log_e_chunk``; rounds at or above
-    log(N / gamma) - TIE_BAND are decided by ``eprocess_crossed`` on their
-    counts.
+    ``scored`` rounds have been scored and ``counts`` are their action
+    counts; ``table`` is the closed form up to the horizon and ``near`` is
+    log(N / gamma) - TIE_BAND.
     """
-    table = log_e_table(tuple(w_ref.tolist()), actions.size)
-    near = math.log(num_players) - math.log(gamma) - TIE_BAND
-    carried = np.zeros(w_ref.size, dtype=np.int64)
-    for start in range(0, actions.size, _CHUNK):
-        chunk = actions[start: start + _CHUNK]
-        log_e, ends = _log_e_chunk(table, chunk, start, carried)
-        for t in np.flatnonzero(log_e >= near):
-            counts = carried + np.bincount(chunk[: t + 1], minlength=w_ref.size)
-            if eprocess_crossed(counts, w_ref, gamma, num_players, log_e[t]):
+
+    def __init__(self, w_ref: np.ndarray, gamma: float, num_players: int, horizon: int):
+        self.w_ref, self.gamma, self.num_players = w_ref, gamma, num_players
+        self.table = log_e_table(tuple(w_ref.tolist()), horizon)
+        self.near = math.log(num_players) - math.log(gamma) - TIE_BAND
+        self.scored = 0
+        self.counts = np.zeros(w_ref.size, dtype=np.int64)
+
+
+def _eprocess_tau(chunk: np.ndarray, scan: _Scan):
+    """Score the next rounds of a stream: tau if the e-process first reaches
+    N / gamma within ``chunk``, else None, and ``scan`` moves past the chunk.
+
+    ``_log_e_chunk`` gives log e_t on every round of the chunk. A chunk whose
+    maximum is below ``scan.near`` cannot cross; otherwise the rounds at or
+    above it are decided by ``eprocess_crossed`` on their counts.
+    """
+    start = scan.scored
+    log_e, ends = _log_e_chunk(scan.table, chunk, start, scan.counts)
+    if log_e.max() >= scan.near:
+        for t in np.flatnonzero(log_e >= scan.near):
+            counts = scan.counts + np.bincount(chunk[: t + 1], minlength=scan.w_ref.size)
+            if eprocess_crossed(counts, scan.w_ref, scan.gamma, scan.num_players, log_e[t]):
                 return start + t + 1
-        carried = ends
+    scan.scored, scan.counts = start + chunk.size, ends
     return None
 
 
@@ -506,26 +527,32 @@ def _batch_kappa(counts: np.ndarray, w_ref: np.ndarray, delta: float):
     return kappa, verdicts
 
 
-def _pre_punishment_actions(config: EpisodeConfig, rep: int, player: int) -> np.ndarray:
-    """A player's actions until punishment, for the vectorized samplers.
+def _pre_punishment_actions(config: EpisodeConfig, rep: int, player: int, chunk: int):
+    """A player's actions until punishment, ``chunk`` rounds at a time.
 
     A batch-scheduled deviator repeats its schedule; every other player draws
-    from a stationary mixed action (the deviator's, or the cooperative one).
+    from a stationary mixed action (the deviator's, or the cooperative one),
+    one ``_draw_actions`` call per chunk from the same stream.
     """
     dev = config.deviations.get(player)
     schedule = getattr(dev, "schedule", None)
-    if schedule is not None:
-        return np.resize(schedule, config.horizon)
-    if dev is None:
-        probs = config.target.cooperative[player].probs
-    elif hasattr(dev, "action"):
-        probs = dev.action.probs
-    else:
-        raise GameError(
-            "vectorized Monte Carlo needs stationary or batch-scheduled deviations; "
-            "use run_episode for adaptive strategies"
-        )
-    return _draw_actions(_stream(config.seed, rep, player, 0), probs, config.horizon)
+    if schedule is None:
+        if dev is None:
+            probs = config.target.cooperative[player].probs
+        elif hasattr(dev, "action"):
+            probs = dev.action.probs
+        else:
+            raise GameError(
+                "vectorized Monte Carlo needs stationary or batch-scheduled deviations; "
+                "use run_episode for adaptive strategies"
+            )
+        rng = _stream(config.seed, rep, player, 0)
+    for start in range(0, config.horizon, chunk):
+        size = min(chunk, config.horizon - start)
+        if schedule is None:
+            yield _draw_actions(rng, probs, size)
+        else:
+            yield schedule.take(np.arange(start, start + size), mode="wrap")
 
 
 def _joint_stage_payoffs(game: StageGame, streams: list) -> np.ndarray:
@@ -573,19 +600,32 @@ def _onset(times, batch_length=None):
 
 
 def _anytime_rep(config: EpisodeConfig, rep: int, want_payoffs: bool):
+    """Each player's tau, the onset and, when wanted, the spliced payoffs.
+
+    A player's stream is drawn and scored chunk by chunk and stops at the
+    chunk where that player's own test fires. Without payoffs each chunk is
+    dropped once scored; with them the chunks drawn are kept, and they cover
+    every round before the onset.
+    """
     n = config.game.num_players
     streams, taus = [], []
     for i in range(n):
-        actions = _pre_punishment_actions(config, rep, i)
-        streams.append(actions)
-        taus.append(
-            _eprocess_tau(actions, config.target.cooperative[i].probs, config.gamma, n)
-        )
+        scan = _Scan(config.target.cooperative[i].probs, config.gamma, n, config.horizon)
+        kept, tau = [], None
+        for chunk in _pre_punishment_actions(config, rep, i, _CHUNK):
+            if want_payoffs:
+                kept.append(chunk)
+            tau = _eprocess_tau(chunk, scan)
+            if tau is not None:
+                break
+        streams.append(kept)
+        taus.append(tau)
     onset = _onset(taus)
-    payoffs = (
-        _spliced_payoff(config, rep, streams, onset) if want_payoffs else None
-    )
-    return taus, onset, payoffs
+    if not want_payoffs:
+        return taus, onset, None
+    # A stream of one chunk (T <= _CHUNK, or an early crossing) needs no copy.
+    streams = [s[0] if len(s) == 1 else np.concatenate(s) for s in streams]
+    return taus, onset, _spliced_payoff(config, rep, streams, onset)
 
 
 def _batch_rep_counts(config: EpisodeConfig, rep: int):
@@ -611,7 +651,8 @@ def _batch_rep_payoff(config: EpisodeConfig, rep: int):
     game = config.game
     streams, kappas = [], []
     for i in range(game.num_players):
-        actions = _pre_punishment_actions(config, rep, i)
+        # The batch test and the payoff read the whole stream: one chunk.
+        actions = next(_pre_punishment_actions(config, rep, i, config.horizon))
         streams.append(actions)
         counts = _batch_counts(actions, config.batch_length, game.action_counts[i])
         kappa, _ = _batch_kappa(counts, config.target.cooperative[i].probs, config.delta)
@@ -741,6 +782,7 @@ class _Detection(_Mode):
     kinds = frozenset({"anytime"})
     fields = {"min_detection_rate": float}
     min_replications = 2  # the sample sd of the detection times
+    no_assertions = "no assertions for this run: it sets no min_detection_rate"
 
     def run(self, config, kind, replications):
         if not config.deviations:
@@ -861,6 +903,7 @@ class _Gap(_Mode):
     kinds = frozenset({"anytime"})
     fields = {"gap_epsilon": float}
     min_replications = 2  # the payoff SE
+    no_assertions = "no assertions for this run: it sets no gap_epsilon"
 
     def run(self, config, kind, replications):
         if not config.gap_family:

@@ -31,6 +31,16 @@ def kernel_log_traj(actions, w_ref):
     return np.concatenate(out)
 
 
+def stream_tau(actions, w_ref, gamma, num_players):
+    """tau of a whole stream, scored by _eprocess_tau _CHUNK rounds at a time."""
+    scan = simulate._Scan(w_ref, gamma, num_players, actions.size)
+    for start in range(0, actions.size, simulate._CHUNK):
+        tau = simulate._eprocess_tau(actions[start: start + simulate._CHUNK], scan)
+        if tau is not None:
+            return tau
+    return None
+
+
 def anytime_enforcement(w_ref, gamma, horizon):
     """An anytime enforcement for two players whose reference is ``w_ref``,
     and that reference as MixedAction normalizes it.

@@ -428,7 +428,12 @@ class TestEmitReport:
          [["deviation", "player", "gain", "se"]],
          [("max_gain_le_eps_plus_gamma", "pass")]),
         (dict(mode="gap", gap_family=GAP_FAMILY),
-         [["deviation", "player", "gain", "se"]], []),
+         [["deviation", "player", "gain", "se"],
+          ["no assertions for this run: it sets no gap_epsilon"]], []),
+        (dict(mode="detection", deviations=[{"kind": "stationary", "player": 0,
+                                             "probs": [0.9, 0.1]}]),
+         [["estimate", "value"],
+          ["no assertions for this run: it sets no min_detection_rate"]], []),
         (dict(mode="wrongful_curve", enforcement=BATCH_10, curve_horizons=[100, 1000]),
          [["horizon", "punished fraction", "analytic lower bound"]],
          [("punished_fraction_nondecreasing", "pass"),
@@ -438,7 +443,7 @@ class TestEmitReport:
          [["horizon", "punished fraction", "analytic lower bound"]],
          [("punished_fraction_nondecreasing", "pass")]),
     ], ids=["batch-type1", "anytime-payoff", "batch-payoff", "gap-epsilon", "gap",
-            "curve-bound", "curve-no-bound"])
+            "detection", "curve-bound", "curve-no-bound"])
     def test_report_tables_and_assertions(self, tmp_path, overrides, headers, assertions):
         run_experiment(write_spec(tmp_path, base_spec(**overrides)))
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
@@ -451,7 +456,7 @@ class TestEmitReport:
             assert ["assertion", "status", "observed", "bound"] in cells
             assert {tuple(row[:2]) for row in cells} >= set(assertions)
         else:
-            assert ["no assertable inequalities for this mode"] in cells
+            assert ["assertion", "status", "observed", "bound"] not in cells
 
 
 class TestCliEntryPoints:

@@ -23,6 +23,7 @@ from repgame import (
     solve_bimatrix_nash,
     tv_ball_contains,
 )
+from repgame.game import SIMPLEX_ATOL, as_simplex
 
 MATCHING_PENNIES = StageGame(2, (2, 2), ([[1, 0], [0, 1]], [[0, 1], [1, 0]]))
 COORDINATION = StageGame(2, (2, 2), ([[1, 0], [0, 1]], [[1, 0], [0, 1]]))
@@ -40,6 +41,22 @@ class TestMixedAction:
     def test_renormalizes_tiny_drift(self):
         a = MixedAction([0.5 + 4e-10, 0.5])
         assert a.probs.sum() == pytest.approx(1.0, abs=1e-15)
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.integers(2, 5).flatmap(simplex),
+           drift=st.floats(-SIMPLEX_ATOL / 2, SIMPLEX_ATOL / 2))
+    def test_normalizing_is_idempotent(self, p, drift):
+        once = as_simplex(p * (1.0 + drift))
+        assert as_simplex(once).tobytes() == once.tobytes()
+        assert MixedAction(once).probs.tobytes() == once.tobytes()
+
+    def test_sum_within_rounding_is_kept(self):
+        # A normalized Dirichlet draw whose float sum is 0.9999999999999999:
+        # dividing by it moved an entry by one ulp on every pass.
+        w = np.random.default_rng([7, 10]).dirichlet(np.ones(3))
+        w = w / w.sum()
+        assert w.sum() == 1.0 - 2.0**-53
+        assert MixedAction(w).probs.tobytes() == w.tobytes()
 
     def test_rejects_bad_sum(self):
         with pytest.raises(GameError):

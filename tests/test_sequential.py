@@ -18,9 +18,8 @@ from repgame import (
     eprocess_exact_oracle,
     eprocess_update,
 )
-from repgame.simulate import _eprocess_tau
 
-from conftest import anytime_enforcement, kernel_log_traj
+from conftest import anytime_enforcement, kernel_log_traj, stream_tau
 
 UNIFORM = MixedAction([0.5, 0.5])
 
@@ -81,7 +80,7 @@ class TestAnytimeVerdict:
         enforcement, _ = anytime_enforcement([0.25, 0.75], 0.125, 20)
         assert [enforcement.observe(t, (0, 1)) for t in range(3)] == [False, False, True]
         assert enforcement.rejection_times() == [3, None]
-        assert _eprocess_tau(np.zeros(3, dtype=np.int64), UNIFORM.probs, 0.5, 1) == 3
+        assert stream_tau(np.zeros(3, dtype=np.int64), UNIFORM.probs, 0.5, 1) == 3
         assert eprocess_exact_oracle(2, UNIFORM, 0.5, 1, 2) == 0.0
         assert eprocess_exact_oracle(2, UNIFORM, 0.5, 1, 3) == 0.25  # paths 000 and 111
 

@@ -1,6 +1,7 @@
 import hashlib
 import logging
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -45,16 +46,18 @@ from repgame.strategies import (
 )
 from repgame.simulate import (
     _draw_actions,
-    _eprocess_tau,
     _worker_count,
     sample_action,
 )
 
-from conftest import anytime_enforcement, kernel_log_traj
+from conftest import anytime_enforcement, kernel_log_traj, stream_tau
 
 PD = StageGame(2, (2, 2), ([[0.6, 0.0], [1.0, 0.2]], [[0.6, 1.0], [0.0, 0.2]]))
 PURE_COOP = PayoffTarget.from_profiles(
     PD, MixedProfile(([1, 0], [1, 0])), solve_bimatrix_nash(PD)
+)
+UNIFORM_COOP = PayoffTarget.from_profiles(
+    PD, MixedProfile(([0.5, 0.5], [0.5, 0.5])), solve_bimatrix_nash(PD)
 )
 MIXED_COOP = PayoffTarget.from_profiles(
     PD, MixedProfile(([0.9, 0.1], [0.9, 0.1])), solve_bimatrix_nash(PD)
@@ -425,7 +428,7 @@ class TestStreamKernels:
                 if enforcement.observe(t, (a, a)):
                     break
             fired_at, _ = enforcement.rejection_times()
-            assert fired_at == _eprocess_tau(actions, w_ref, gamma, num_players)
+            assert fired_at == stream_tau(actions, w_ref, gamma, num_players)
             crossings.append(fired_at)
         assert None in crossings and any(c is not None for c in crossings)
 
@@ -556,7 +559,7 @@ class TestClosedFormTau:
         monkeypatch.setattr(simulate, "_CHUNK", chunk)
         taus, sizes = [], set()
         for actions, w_ref in seeded_streams():
-            tau = _eprocess_tau(actions, w_ref, gamma, num_players)
+            tau = stream_tau(actions, w_ref, gamma, num_players)
             assert tau == first_crossing(actions, w_ref, gamma, num_players)
             taus.append(tau)
             sizes.add(w_ref.size)
@@ -574,7 +577,7 @@ class TestClosedFormTau:
             crossing_round = k * chunk if where == "first" else (k + 1) * chunk - 1
             actions, gamma = balanced_then_zeros(crossing_round)
             assert first_crossing(actions, w_ref, gamma, 2) == crossing_round + 1
-            assert _eprocess_tau(actions, w_ref, gamma, 2) == crossing_round + 1
+            assert stream_tau(actions, w_ref, gamma, 2) == crossing_round + 1
 
     @pytest.mark.parametrize("chunk", [1, 7, 64])
     def test_unsupported_action_on_a_chunk_edge(self, monkeypatch, chunk):
@@ -584,15 +587,111 @@ class TestClosedFormTau:
         for t in (chunk, 2 * chunk - 1, 3 * chunk, 150):
             actions = np.arange(200, dtype=np.int64) % 2
             actions[t] = 2
-            assert _eprocess_tau(actions, w_ref, 0.5, 1) == t + 1
+            assert stream_tau(actions, w_ref, 0.5, 1) == t + 1
             assert first_crossing(actions, w_ref, 0.5, 1) == t + 1
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 16_384])
     def test_tie_cell_still_fires_at_three(self, monkeypatch, chunk):
         # w = (1/2, 1/2), N = 1, gamma = 1/2: e_3 = 2 = N / gamma exactly on 0, 0, 0.
         monkeypatch.setattr(simulate, "_CHUNK", chunk)
-        assert _eprocess_tau(np.zeros(3, dtype=np.int64), np.array([0.5, 0.5]), 0.5, 1) == 3
-        assert _eprocess_tau(np.zeros(2, dtype=np.int64), np.array([0.5, 0.5]), 0.5, 1) is None
+        assert stream_tau(np.zeros(3, dtype=np.int64), np.array([0.5, 0.5]), 0.5, 1) == 3
+        assert stream_tau(np.zeros(2, dtype=np.int64), np.array([0.5, 0.5]), 0.5, 1) is None
+
+
+def opponent_index_case(k, horizon):
+    """An anytime config on a two-player game with k actions each, player 0
+    deviating to a stationary mixed action.
+
+    A player's payoff is the opponent's action index over k - 1, so every
+    profile is a stage equilibrium and all-zero play punishes; the
+    cooperative reference and the deviation are Dirichlet draws.
+    """
+    rng = np.random.default_rng([23, k])
+    u0 = np.tile(np.arange(k) / (k - 1), (k, 1))
+    game = StageGame(2, (k, k), (u0, u0.T))
+    w, zero = rng.dirichlet(np.ones(k)), np.eye(k)[0]
+    target = PayoffTarget.from_profiles(game, MixedProfile((w, w)), MixedProfile((zero, zero)))
+    return EpisodeConfig(game=game, target=target, beta=0.999, horizon=horizon, seed=k,
+                         enforcement="anytime", gamma=0.05,
+                         deviations={0: Stationary(rng.dirichlet(np.ones(k)))})
+
+
+def whole_stream_rep(cfg, rep):
+    """taus, onset and payoffs from one whole draw per player, scored round by round."""
+    streams, taus = [], []
+    for i, w_ref in enumerate(cfg.target.cooperative):
+        dev = cfg.deviations.get(i)
+        probs = w_ref.probs if dev is None else dev.action.probs
+        actions = _draw_actions(simulate._stream(cfg.seed, rep, i, 0), probs, cfg.horizon)
+        streams.append(actions)
+        taus.append(first_crossing(actions, w_ref.probs, cfg.gamma, 2))
+    onset = min((t for t in taus if t is not None), default=None)
+    return taus, onset, simulate._spliced_payoff(cfg, rep, streams, onset)
+
+
+def spy_draws(monkeypatch):
+    """Rounds drawn per player from the pre-punishment streams (purpose 0)."""
+    drawn, owners = {}, []
+    stream, draw = simulate._stream, simulate._draw_actions
+
+    def stream_spy(seed, rep, player, purpose):
+        rng = stream(seed, rep, player, purpose)
+        if purpose == 0:
+            owners.append((rng, player))
+        return rng
+
+    def draw_spy(rng, probs, size):
+        for owner, player in owners:
+            if owner is rng:
+                drawn[player] = drawn.get(player, 0) + size
+        return draw(rng, probs, size)
+
+    monkeypatch.setattr(simulate, "_stream", stream_spy)
+    monkeypatch.setattr(simulate, "_draw_actions", draw_spy)
+    return drawn
+
+
+class TestChunkedStreams:
+    @pytest.mark.parametrize("chunk, horizon", [(1, 600), (7, 4_099), (4_096, 4_099)])
+    def test_chunked_reps_equal_whole_draws(self, monkeypatch, chunk, horizon):
+        # 4,099 rounds is no multiple of 7 or 4,096. A player whose test fires
+        # stops drawing at the end of that chunk, every other draws them all.
+        monkeypatch.setattr(simulate, "_CHUNK", chunk)
+        fired, silent = 0, 0
+        for k in (2, 3, 4):
+            cfg = opponent_index_case(k, horizon)
+            for rep in range(3):
+                taus, onset, payoffs = whole_stream_rep(cfg, rep)
+                for want_payoffs in (False, True):
+                    drawn = spy_draws(monkeypatch)
+                    got = simulate._anytime_rep(cfg, rep, want_payoffs)
+                    assert got[:2] == (taus, onset)
+                    if want_payoffs:
+                        assert got[2].tobytes() == payoffs.tobytes()
+                    else:
+                        assert got[2] is None
+                    for player, tau in enumerate(taus):
+                        limit = cfg.horizon if tau is None else -(-tau // chunk) * chunk
+                        assert drawn[player] == min(limit, cfg.horizon)
+                fired += sum(t is not None for t in taus)
+                silent += taus.count(None)
+        assert fired and silent
+
+    def test_type1_memory_does_not_grow_with_horizon(self):
+        # One warm replication (its log e_t table cached) keeps only chunk
+        # temporaries: its traced peak at T = 4e5 stays within 10% of T = 1e5.
+        peaks = []
+        for horizon in (100_000, 400_000):
+            cfg = config(target=UNIFORM_COOP, horizon=horizon, seed=5)
+            simulate._anytime_rep(cfg, 0, want_payoffs=False)
+            tracemalloc.start()
+            try:
+                taus, _, _ = simulate._anytime_rep(cfg, 1, want_payoffs=False)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert taus == [None, None]  # every round of both streams was scored
+        assert peaks[1] <= 1.1 * peaks[0]
 
 
 def mixed_actions_drawn(monkeypatch):
