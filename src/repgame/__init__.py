@@ -26,7 +26,6 @@ from .game import (
     patience_thresholds,
     pure_action_payoffs,
     solve_bimatrix_nash,
-    tv_ball_contains,
 )
 from .sequential import (
     BatchTestState,

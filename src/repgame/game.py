@@ -151,11 +151,6 @@ class StageGame:
     def max_action_count(self) -> int:
         return max(self.action_counts)
 
-    def payoff(self, joint_action) -> np.ndarray:
-        """Realized per-player payoffs at a joint pure action."""
-        idx = tuple(int(a) for a in joint_action)
-        return np.array([u[idx] for u in self.utilities])
-
 
 def load_game(source) -> StageGame:
     """Load a stage game from a JSON document, file path, or parsed dict.
@@ -348,20 +343,3 @@ def patience_thresholds(
     else:
         raise GameError(f"unknown patience mode {mode!r}")
     return num / denom
-
-
-def tv_ball_contains(reference: MixedAction, candidate: MixedAction, epsilon: float) -> bool:
-    """Whether ``candidate`` lies in the total-variation ball of radius eps.
-
-    Membership is the inclusive L1 test ||candidate - reference||_1 <= 2 eps,
-    with a 1e-12 absolute tolerance so points constructed to sit exactly on
-    the boundary are not excluded by rounding.
-    """
-    reference = _coerce_action(reference)
-    candidate = _coerce_action(candidate)
-    if len(reference) != len(candidate):
-        raise GameError("dimension mismatch between reference and candidate")
-    if epsilon < 0.0:
-        raise GameError("epsilon must be nonnegative")
-    distance = float(np.abs(candidate.probs - reference.probs).sum())
-    return distance <= 2.0 * epsilon + 1e-12

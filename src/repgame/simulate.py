@@ -34,7 +34,13 @@ log(N / gamma) - TIE_BAND once and sends only the rounds at or above it to
 The anytime Monte Carlo path draws, scores and drops (``_anytime_rep``):
 each player's actions come ``_CHUNK`` rounds at a time and each chunk is
 scored as it is drawn. A chunked draw from one stream equals one whole draw,
-so every tau, onset and payoff is the same as on the whole stream.
+so every tau, onset and payoff is the same as on the whole stream. Scoring a
+chunk (``_eprocess_tau``) first bounds log e_t on each block of ``_BLOCK``
+rounds by its value at the block's 2^K corner states (``_block_peaks``);
+blocks whose bound lies below log(N / gamma) - TIE_BAND are cleared, and
+only the rounds from the first uncleared block to the last, or to the first
+block that ends surely past N / gamma, go through ``_log_e_chunk``, which
+evaluates log e_t on every round.
 
 Each enforcement kind (anytime, batch, grim, none) is one class in the
 ``KINDS`` table, with the EpisodeConfig fields it needs and their types. An
@@ -65,6 +71,8 @@ lays out the tables ``repgame report`` prints. ``monte_carlo`` and
 from __future__ import annotations
 
 import bisect
+import functools
+import itertools
 import logging
 import math
 import os
@@ -101,6 +109,8 @@ SURVIVAL_GRID = (1, 10, 100, 1_000, 10_000, 100_000)
 # Rounds drawn and scored at once: each chunk's temporaries stay in cache and
 # no array the size of the horizon is built.
 _CHUNK = 16_384
+# Rounds that _eprocess_tau clears at once by the log e_t of their corner states.
+_BLOCK = 128
 DEFAULT_CONCLUSIVE_HORIZON = 10_000
 INCONCLUSIVE = "inconclusive: horizon certificate"
 WILSON_Z = 1.959963984540054  # the standard normal 97.5% quantile
@@ -450,7 +460,7 @@ def discounted_payoffs(traj: Trajectory, beta: float):
 
 
 def _log_e_chunk(table, chunk: np.ndarray, start: int, carried: np.ndarray):
-    """log e_t at t = start + 1 .. start + chunk.size, and the counts after the chunk.
+    """log e_t at t = start + 1 .. start + chunk.size.
 
     ``chunk`` holds rounds start .. start + chunk.size - 1 of a stream and
     ``carried`` the action counts of the rounds before it; ``table`` is a
@@ -472,7 +482,17 @@ def _log_e_chunk(table, chunk: np.ndarray, start: int, carried: np.ndarray):
     for a in range(1, len(counts)):
         log_e += terms[a].take(counts[a])
     log_e += base[start + 1: stop + 1]
-    return log_e, np.array([c[-1] for c in counts])
+    return log_e
+
+
+@functools.lru_cache(maxsize=8)
+def _corner_bits(num_actions: int) -> np.ndarray:
+    """Read-only 0/1 steps, (K, 2^K, 1): column s is one subset of the actions,
+    from none (a block's start) to all (its end)."""
+    bits = np.array(list(itertools.product((0, 1), repeat=num_actions)), dtype=np.int64)
+    bits = np.ascontiguousarray(bits.T[:, :, None])
+    bits.flags.writeable = False
+    return bits
 
 
 class _Scan:
@@ -491,22 +511,65 @@ class _Scan:
         self.counts = np.zeros(w_ref.size, dtype=np.int64)
 
 
+def _block_peaks(table, chunk: np.ndarray, carried: np.ndarray):
+    """Each ``_BLOCK`` rounds of ``chunk``: the counts at its edges, an upper
+    bound on log e_t over its rounds and log e_t at its end.
+
+    Returns the (K, blocks + 1) action counts at the block edges, starting
+    from ``carried``; per block the largest log e_t among its 2^K corner
+    states c + D 1_S, where c are the counts at its start, D the counts it
+    adds and S a subset of the actions; and per block log e_t at c + D.
+    """
+    base, terms = table
+    num_actions = carried.size
+    edges = np.arange(0, chunk.size, _BLOCK)
+    counts = np.empty((num_actions, edges.size + 1), dtype=np.int64)
+    counts[:, 0] = carried
+    for a in range(num_actions - 1):
+        counts[a, 1:] = np.add.reduceat(chunk == a, edges, dtype=np.int64)
+    # Each block's length minus the other actions' counts: the last action's.
+    counts[-1, 1:] = _BLOCK
+    counts[-1, -1] = chunk.size - edges[-1]
+    counts[-1, 1:] -= counts[:-1, 1:].sum(axis=0)
+    np.cumsum(counts, axis=1, out=counts)
+    steps = counts[:, 1:] - counts[:, :-1]
+    corners = counts[:, None, :-1] + steps[:, None, :] * _corner_bits(num_actions)
+    peak = terms[0].take(corners[0])
+    for a in range(1, num_actions):
+        peak += terms[a].take(corners[a])
+    peak += base.take(corners.sum(axis=0))
+    return counts, peak.max(axis=0), peak[-1]
+
+
 def _eprocess_tau(chunk: np.ndarray, scan: _Scan):
     """Score the next rounds of a stream: tau if the e-process first reaches
     N / gamma within ``chunk``, else None, and ``scan`` moves past the chunk.
 
-    ``_log_e_chunk`` gives log e_t on every round of the chunk. A chunk whose
-    maximum is below ``scan.near`` cannot cross; otherwise the rounds at or
-    above it are decided by ``eprocess_crossed`` on their counts.
+    A block's corners bound log e_t on its rounds. At each t, log e_t is
+    convex in the counts, so over the states the block reaches it peaks where
+    at most one action b is part way through its steps; along a run of b the
+    increment log((c_b + 1) / ((t + K) w_b)) never decreases, so it peaks at
+    the run's ends, which are corners. Blocks whose peak lies below
+    ``scan.near`` cannot cross. The rounds from the first other block to the
+    last are scored by ``_log_e_chunk`` in one call, and the rounds at or
+    above ``scan.near`` are decided by ``eprocess_crossed`` on their counts.
+    A block that ends more than TIE_BAND above log(N / gamma) has crossed by
+    its end, so the span stops there.
     """
     start = scan.scored
-    log_e, ends = _log_e_chunk(scan.table, chunk, start, scan.counts)
-    if log_e.max() >= scan.near:
+    counts, peaks, ends = _block_peaks(scan.table, chunk, scan.counts)
+    uncleared = np.flatnonzero(peaks >= scan.near)
+    if uncleared.size:
+        crossed = np.flatnonzero(ends > scan.near + 2 * TIE_BAND)
+        last = crossed[0] if crossed.size else uncleared[-1]
+        lo, hi = uncleared[0] * _BLOCK, (last + 1) * _BLOCK
+        span, carried = chunk[lo:hi], counts[:, uncleared[0]]
+        log_e = _log_e_chunk(scan.table, span, start + lo, carried)
         for t in np.flatnonzero(log_e >= scan.near):
-            counts = scan.counts + np.bincount(chunk[: t + 1], minlength=scan.w_ref.size)
-            if eprocess_crossed(counts, scan.w_ref, scan.gamma, scan.num_players, log_e[t]):
-                return start + t + 1
-    scan.scored, scan.counts = start + chunk.size, ends
+            seen = carried + np.bincount(span[: t + 1], minlength=carried.size)
+            if eprocess_crossed(seen, scan.w_ref, scan.gamma, scan.num_players, log_e[t]):
+                return start + lo + t + 1
+    scan.scored, scan.counts = start + chunk.size, counts[:, -1]
     return None
 
 

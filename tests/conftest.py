@@ -25,9 +25,9 @@ def kernel_log_traj(actions, w_ref):
     table = log_e_table(tuple(w_ref.tolist()), actions.size)
     carried, out = np.zeros(w_ref.size, dtype=np.int64), []
     for start in range(0, actions.size, simulate._CHUNK):
-        log_e, carried = simulate._log_e_chunk(
-            table, actions[start: start + simulate._CHUNK], start, carried)
-        out.append(log_e)
+        chunk = actions[start: start + simulate._CHUNK]
+        out.append(simulate._log_e_chunk(table, chunk, start, carried))
+        carried = carried + np.bincount(chunk, minlength=w_ref.size)
     return np.concatenate(out)
 
 

@@ -21,7 +21,6 @@ from repgame import (
     pure_action_payoffs,
     run_episode,
     solve_bimatrix_nash,
-    tv_ball_contains,
 )
 from repgame.game import SIMPLEX_ATOL, as_simplex
 
@@ -155,7 +154,7 @@ class TestStageGame:
         path.write_text(json.dumps(doc))
         game = load_game(path)
         assert game.action_counts == (2, 2)
-        assert game.payoff((0, 0)).tolist() == [1.0, 0.0]
+        assert np.array([u[0, 0] for u in game.utilities]).tolist() == [1.0, 0.0]
 
     def test_load_game_missing_key(self):
         with pytest.raises(GameError):
@@ -319,32 +318,3 @@ class TestPatienceThresholds:
             patience_thresholds(game, target, "perfect")
 
 
-class TestTvBall:
-    def test_boundary_inclusive(self):
-        ref = MixedAction([0.5, 0.5])
-        cand = MixedAction([0.7, 0.3])
-        assert tv_ball_contains(ref, cand, 0.2)
-        assert not tv_ball_contains(ref, cand, 0.19)
-
-    def test_self_membership(self):
-        a = MixedAction([0.3, 0.7])
-        assert tv_ball_contains(a, a, 0.0)
-
-    @given(p=simplex(3), q=simplex(3), eps=st.floats(0.0, 1.0, allow_nan=False))
-    @settings(max_examples=50, deadline=None)
-    def test_symmetric(self, p, q, eps):
-        a, b = MixedAction(p), MixedAction(q)
-        assert tv_ball_contains(a, b, eps) == tv_ball_contains(b, a, eps)
-
-    @given(p=simplex(3), q=simplex(3),
-           eps=st.floats(0.0, 0.5, allow_nan=False),
-           extra=st.floats(0.0, 0.5, allow_nan=False))
-    @settings(max_examples=50, deadline=None)
-    def test_monotone_in_epsilon(self, p, q, eps, extra):
-        a, b = MixedAction(p), MixedAction(q)
-        if tv_ball_contains(a, b, eps):
-            assert tv_ball_contains(a, b, eps + extra)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(GameError):
-            tv_ball_contains(MixedAction([0.5, 0.5]), MixedAction([1 / 3] * 3), 0.1)

@@ -598,6 +598,126 @@ class TestClosedFormTau:
         assert stream_tau(np.zeros(2, dtype=np.int64), np.array([0.5, 0.5]), 0.5, 1) is None
 
 
+def run_inside_a_block(at, run, horizon):
+    """A K = 2 stream that alternates 0, 1 except for ``run`` zeros from round
+    ``at`` (even) and then ``run`` ones, its log e_t under w = (1/2, 1/2), and
+    a gamma for N = 2 whose first crossing is the last zero: tau = at + run.
+
+    The counts are equal at every even round outside the runs, so log e_t
+    is below 0 there.
+    """
+    actions = np.arange(horizon) % 2
+    actions[at: at + run] = 0
+    actions[at + run: at + 2 * run] = 1
+    log_e = kernel_log_traj(actions, np.array([0.5, 0.5]))
+    tau = at + run
+    assert log_e[tau - 1] > max(log_e[: tau - 1].max(), math.log(2))
+    threshold = (log_e[tau - 1] + log_e[tau - 2]) / 2
+    return actions, 2 * math.exp(-threshold), log_e
+
+
+class TestBlockBound:
+    @pytest.mark.parametrize("block", [1, 7, 128])
+    def test_corner_peak_bounds_every_round_of_its_block(self, monkeypatch, block):
+        # Chunks of 1,000 rounds carry counts in and end on ragged blocks.
+        monkeypatch.setattr(simulate, "_BLOCK", block)
+        above_both_ends = 0
+        for actions, w_ref in seeded_streams():
+            table = log_e_table(tuple(w_ref.tolist()), actions.size)
+            listed = [part.tolist() for part in table]
+            seen = one_hot_counts(actions, w_ref.size)
+            carried = np.zeros(w_ref.size, dtype=np.int64)
+            for start in range(0, actions.size, 1_000):
+                chunk = actions[start: start + 1_000]
+                counts, peaks, ends = simulate._block_peaks(table, chunk, carried)
+                log_e = simulate._log_e_chunk(table, chunk, start, carried)
+                edges = np.append(np.arange(start, start + chunk.size, block),
+                                  start + chunk.size)
+                assert np.array_equal(counts[:, 1:].T, seen[edges[1:] - 1])
+                assert peaks.size == edges.size - 1
+                carried = counts[:, -1]
+                for i, peak in enumerate(peaks.tolist()):
+                    rounds = log_e[edges[i] - start: edges[i + 1] - start]
+                    assert peak >= rounds.max()
+                    assert ends[i] == rounds[-1]
+                    first = log_e_at(listed, counts[:, i].tolist())
+                    above_both_ends += peak > max(first, rounds[-1])
+        # A corner other than the block's start and end is its peak.
+        assert above_both_ends > 0 if block > 1 else above_both_ends == 0
+
+    @pytest.mark.parametrize("chunk", [7, 64, 1_000, 16_384])
+    def test_blocks_match_round_by_round_rule(self, monkeypatch, chunk):
+        monkeypatch.setattr(simulate, "_CHUNK", chunk)
+        streams = seeded_streams()
+        for gamma, num_players in ((0.05, 2), (0.2, 1)):
+            expected = [first_crossing(a, w, gamma, num_players) for a, w in streams]
+            assert None in expected and any(t is not None for t in expected)
+            for block in (1, 2, 3, 7, 128):
+                monkeypatch.setattr(simulate, "_BLOCK", block)
+                assert [stream_tau(a, w, gamma, num_players) for a, w in streams] == expected
+
+    @pytest.mark.parametrize("chunk, at", [(16_384, 138), (200, 190)])
+    def test_crossing_inside_a_block_whose_ends_are_low(self, monkeypatch, chunk, at):
+        # The run of zeros crosses strictly inside the block [first, first + 128)
+        # while log e_t at the block's start and end lies below near. With
+        # chunks of 200 rounds the run starts in the first chunk and crosses
+        # in the first block of the second.
+        monkeypatch.setattr(simulate, "_CHUNK", chunk)
+        actions, gamma, log_e = run_inside_a_block(at, 50, 400)
+        tau = at + 50
+        first = (tau - 1) // chunk * chunk + (tau - 1) % chunk // 128 * 128
+        assert first < tau < first + 128 and first + 128 <= actions.size
+        near = math.log(2) - math.log(gamma) - TIE_BAND
+        assert max(log_e[first - 1], log_e[first + 127]) < near
+        w_ref = np.array([0.5, 0.5])
+        assert first_crossing(actions, w_ref, gamma, 2) == tau
+        assert stream_tau(actions, w_ref, gamma, 2) == tau
+
+    def test_span_stops_at_the_first_block_past_the_threshold(self, monkeypatch):
+        # Off-reference play crosses early and stays above N / gamma, so only
+        # the blocks up to the first one that ends above it are scored round
+        # by round, not the rest of the 16,384-round chunk.
+        w_ref = np.array([0.5, 0.5])
+        actions = _draw_actions(np.random.default_rng(3), np.array([0.8, 0.2]), 16_384)
+        tau = first_crossing(actions, w_ref, 0.05, 2)
+        scored, original = [], simulate._log_e_chunk
+
+        def spy(table, chunk, start, carried):
+            scored.append((start, chunk.size))
+            return original(table, chunk, start, carried)
+
+        monkeypatch.setattr(simulate, "_log_e_chunk", spy)
+        assert stream_tau(actions, w_ref, 0.05, 2) == tau
+        [(start, size)] = scored
+        assert start < tau <= start + size <= tau + 2 * simulate._BLOCK
+
+    def test_block_ending_within_tie_band_below_the_threshold(self):
+        # log e_t after 256 rounds, the end of the second block, lies
+        # TIE_BAND / 2 below log(N / gamma): that block has not crossed, so the
+        # span goes on, and the next zero crosses in the third block.
+        w_ref = np.array([0.5, 0.5])
+        actions = np.arange(400) % 2
+        actions[200:300] = 0
+        log_e = kernel_log_traj(actions, w_ref)
+        threshold = log_e[255] + TIE_BAND / 2
+        gamma = 2 * math.exp(-threshold)
+        assert log_e[:256].max() == log_e[255] and log_e[256] > threshold + TIE_BAND
+        assert first_crossing(actions, w_ref, gamma, 2) == 257
+        assert stream_tau(actions, w_ref, gamma, 2) == 257
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, 128])
+    def test_tie_cells_fire_at_every_block(self, monkeypatch, block):
+        # w = (1/2, 1/2), N = 1 and tau zeros: e_3 = 2 = 1 / gamma at gamma = 1/2,
+        # and e_15 = 2^15 / 16 = 1 / gamma at gamma = 2^-11. The float log e_15
+        # lies below log(1 / gamma), so a block is cleared only below near.
+        monkeypatch.setattr(simulate, "_BLOCK", block)
+        w_ref = np.array([0.5, 0.5])
+        assert kernel_log_traj(np.zeros(15, dtype=np.int64), w_ref)[-1] < 11 * math.log(2)
+        for tau, gamma in ((3, 0.5), (15, 2.0 ** -11)):
+            assert stream_tau(np.zeros(tau, dtype=np.int64), w_ref, gamma, 1) == tau
+            assert stream_tau(np.zeros(tau - 1, dtype=np.int64), w_ref, gamma, 1) is None
+
+
 def opponent_index_case(k, horizon):
     """An anytime config on a two-player game with k actions each, player 0
     deviating to a stationary mixed action.
@@ -891,7 +1011,7 @@ class TestEpisodePins:
             joints = [tuple(draws[2 * t: 2 * t + 2]) for t in range(cfg.horizon)]
             assert len(draws) == 2 * cfg.horizon
             assert traj.actions == joints
-            expected = [PD.payoff(joint) for joint in joints]
+            expected = [np.array([u[joint] for u in PD.utilities]) for joint in joints]
         for row, want in zip(traj.stage_payoffs, expected):
             assert row.tobytes() == want.tobytes()
         if case[0] == "grim":

@@ -23,7 +23,6 @@ from repgame import (
     grim_trigger_act,
     make_deviation,
     solve_bimatrix_nash,
-    tv_ball_contains,
 )
 
 PD = StageGame(2, (2, 2), ([[0.6, 0.0], [1.0, 0.2]], [[0.6, 1.0], [0.0, 0.2]]))
@@ -153,8 +152,10 @@ class TestSmallBall:
     def test_boundary_distance_is_exact(self):
         dev = SmallBall(PD, MIXED_TARGET, 0, epsilon=0.05)
         emitted = dev.act(PublicHistory("imperfect"), 0)
-        assert tv_ball_contains(MIXED_TARGET.cooperative[0], emitted, 0.05)
-        assert not tv_ball_contains(MIXED_TARGET.cooperative[0], emitted, 0.049)
+        # The total-variation ball of radius eps: L1 distance <= 2 eps.
+        distance = np.abs(emitted.probs - MIXED_TARGET.cooperative[0].probs).sum()
+        assert distance <= 2 * 0.05 + 1e-12
+        assert not distance <= 2 * 0.049 + 1e-12
 
     def test_default_direction_increases_payoff(self):
         dev = SmallBall(PD, MIXED_TARGET, 0, epsilon=0.05)
