@@ -55,9 +55,6 @@ from .strategies import (
     PublicHistory,
     SmallBall,
     Stationary,
-    anytime_ttp_act,
-    batch_ttp_act,
-    grim_trigger_act,
     make_deviation,
 )
 from .experiment import (

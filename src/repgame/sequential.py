@@ -89,23 +89,20 @@ def log_e_at(table, counts) -> float:
 class EProcessState:
     """Per-player action counts for the plug-in e-process.
 
-    ``fired_at`` is the round index from which punishment applies: it is set
-    to the number of observations seen when the threshold was first crossed,
-    and never changes afterwards.
+    ``counts`` is a list of Python ints, one per action, which ``log_e_at``
+    reads as is. ``fired_at`` is the round index from which punishment
+    applies: it is set to the number of observations seen when the threshold
+    was first crossed, and never changes afterwards.
     """
 
     player: int
-    counts: np.ndarray
+    counts: list
     t: int = 0
     fired_at: int | None = None
 
     @classmethod
     def fresh(cls, player: int, num_actions: int) -> "EProcessState":
-        return cls(player=player, counts=np.zeros(num_actions, dtype=np.int64))
-
-    @property
-    def num_actions(self) -> int:
-        return self.counts.size
+        return cls(player=player, counts=[0] * num_actions)
 
 
 def eprocess_update(state: EProcessState, action: int,
@@ -113,7 +110,7 @@ def eprocess_update(state: EProcessState, action: int,
     """Count one observed pure action."""
     if expected_t is not None and state.t != expected_t:
         raise StalenessError(f"state at t={state.t}, caller at t={expected_t}")
-    if not 0 <= action < state.num_actions:
+    if not 0 <= action < len(state.counts):
         raise TestInputError(f"action {action} out of range")
     state.counts[action] += 1
     state.t += 1
@@ -141,14 +138,16 @@ def eprocess_crossed(counts, w_ref, gamma: float, num_players: int, log_e=None) 
 class BatchTestState:
     """Per-player buffer for the batch L1 frequency test.
 
-    Verdicts are emitted only at batch boundaries; ``fired_at_batch`` is the
-    index of the first rejected batch and is immutable once set. ``filled``
-    is the number of observations in the buffer, the sum of ``buffer_counts``.
+    ``buffer_counts`` is a list of Python ints, the action counts of the
+    current batch so far. Verdicts are emitted only at batch boundaries;
+    ``fired_at_batch`` is the index of the first rejected batch and is
+    immutable once set. ``filled`` is the number of observations in the
+    buffer, the sum of ``buffer_counts``.
     """
 
     player: int
     batch_length: int
-    buffer_counts: np.ndarray
+    buffer_counts: list
     batch_index: int = 0
     fired_at_batch: int | None = None
     filled: int = 0
@@ -157,19 +156,13 @@ class BatchTestState:
     def fresh(cls, player: int, num_actions: int, batch_length: int) -> "BatchTestState":
         if batch_length < 1:
             raise TestInputError("batch length must be >= 1")
-        return cls(player=player, batch_length=batch_length,
-                   buffer_counts=np.zeros(num_actions, dtype=np.int64))
-
-    @property
-    def num_actions(self) -> int:
-        return self.buffer_counts.size
+        return cls(player=player, batch_length=batch_length, buffer_counts=[0] * num_actions)
 
 
-def batch_test(batch_counts, batch_length: int, w_ref: MixedAction, delta: float):
-    """L1 distance test on one completed batch.
+def batch_test(batch_counts, batch_length: int, w_ref: MixedAction, delta: float) -> bool:
+    """L1 distance test on one completed batch: the verdict (True = reject).
 
-    Returns the empirical frequencies and the verdict (True = reject),
-    with the inclusive rule ||empirical - w_ref||_1 >= delta.
+    The rule is inclusive, ||batch_counts / batch_length - w_ref||_1 >= delta.
     """
     c = np.asarray(batch_counts, dtype=np.int64)
     if np.any(c < 0) or int(c.sum()) != batch_length:
@@ -179,9 +172,7 @@ def batch_test(batch_counts, batch_length: int, w_ref: MixedAction, delta: float
     ref = w_ref.probs if isinstance(w_ref, MixedAction) else np.asarray(w_ref, dtype=float)
     if c.size != ref.size:
         raise TestInputError("dimension mismatch between counts and reference")
-    empirical = c / batch_length
-    verdict = bool(np.abs(empirical - ref).sum() >= delta)
-    return MixedAction(empirical), verdict
+    return bool(np.abs(c / batch_length - ref).sum() >= delta)
 
 
 def batch_update(state: BatchTestState, action: int, w_ref: MixedAction,
@@ -190,16 +181,16 @@ def batch_update(state: BatchTestState, action: int, w_ref: MixedAction,
 
     Returns the verdict when the batch completes, else None.
     """
-    if not 0 <= action < state.num_actions:
+    if not 0 <= action < len(state.buffer_counts):
         raise TestInputError(f"action {action} out of range")
     state.buffer_counts[action] += 1
     state.filled += 1
     if state.filled < state.batch_length:
         return None
-    _, verdict = batch_test(state.buffer_counts, state.batch_length, w_ref, delta)
+    verdict = batch_test(state.buffer_counts, state.batch_length, w_ref, delta)
     if verdict and state.fired_at_batch is None:
         state.fired_at_batch = state.batch_index
     state.batch_index += 1
-    state.buffer_counts[:] = 0
+    state.buffer_counts = [0] * len(state.buffer_counts)
     state.filled = 0
     return verdict

@@ -11,12 +11,15 @@ use vectorized samplers that draw action streams a chunk at a time (or batch
 count vectors directly from the multinomial) instead of stepping rounds one
 at a time; these are distributionally identical to the episode protocol.
 
-Both paths sample a pure action the same way: with u = rng.random() and the
-K - 1 cumulative edges p_0, p_0 + p_1, ..., p_0 + ... + p_{K-2}, the action
-is the number of edges <= u. Each draw consumes one uniform, so a vector draw
-of n actions equals n successive scalar draws from the same stream. The
-scalar path bisects the edges that each MixedAction computes once and caches
-(``MixedAction.edges``).
+Both paths sample a pure action the same way: with a uniform u from the
+player's stream and the K - 1 cumulative edges p_0, p_0 + p_1, ...,
+p_0 + ... + p_{K-2}, the action is the number of edges <= u. Each draw
+consumes one uniform, and a vector of n uniforms equals n successive scalar
+draws from the same stream. So the episode loop takes each player's
+uniforms ``_CHUNK`` at a time from one ``rng.random(size)`` call
+(``_uniforms``) and bisects each on the edges that its MixedAction computes
+once and caches (``MixedAction.edges``); the vector path compares whole
+chunks with the edges.
 
 The e-process depends on a stream only through its action counts, and
 every path evaluates the same closed form on them from
@@ -57,10 +60,6 @@ Under imperfect monitoring every player draws a pure action, the record is
 the joint draw, and the stage payoffs of the realized draws are looked up
 once, after the loop. Either way ``Trajectory.actions`` is the public
 history's list of records.
-
-The per-player strategies in ``repgame.strategies`` (``anytime_ttp_act``,
-``batch_ttp_act``, ``grim_trigger_act``) remain the reference definitions
-that the episode loop is tested against.
 
 Each Monte Carlo mode (type1, detection, payoff, gap, wrongful_curve) is one
 object in the ``MODES`` table. It names the enforcement kinds that define it,
@@ -197,8 +196,21 @@ def _draw_actions(rng: np.random.Generator, probs: np.ndarray, size: int) -> np.
     return actions
 
 
-def sample_action(rng: np.random.Generator, action: MixedAction) -> int:
-    return bisect.bisect_right(action.edges, rng.random())
+def sample_action(u: float, action: MixedAction) -> int:
+    return bisect.bisect_right(action.edges, u)
+
+
+def _uniforms(rng: np.random.Generator, horizon: int):
+    """An iterator over ``horizon`` uniforms from ``rng`` as Python floats,
+    drawn ``_CHUNK`` at a time as the iterator reaches them.
+
+    Iterating a memoryview of a chunk makes each float as it is reached, so
+    no list of the chunk's floats is built.
+    """
+    return itertools.chain.from_iterable(
+        memoryview(rng.random(min(_CHUNK, horizon - start)))
+        for start in range(0, horizon, _CHUNK)
+    )
 
 
 def wilson_interval(successes: int, n: int):
@@ -291,7 +303,7 @@ class _Anytime(_Enforcement):
         cooperative, n = self.config.target.cooperative, len(self.tests)
         for i, state in enumerate(self.tests):
             eprocess_update(state, record[i], expected_t=t)
-            log_e = log_e_at(self.tables[i], state.counts.tolist())
+            log_e = log_e_at(self.tables[i], state.counts)
             if (state.fired_at is None and log_e >= self.near and eprocess_crossed(
                     state.counts, cooperative[i], self.config.gamma, n, log_e)):
                 state.fired_at = state.t
@@ -404,11 +416,14 @@ def run_episode(config: EpisodeConfig, replication: int = 0) -> Trajectory:
     n = game.num_players
     enforcement = KINDS[config.enforcement](config)
     history = PublicHistory(mode=config.monitoring)
-    rngs = [_stream(config.seed, replication, i, 0) for i in range(n)]
     perfect = config.monitoring == "perfect"
+    # Each round's uniforms, one per player; perfect monitoring draws nothing.
+    uniforms = itertools.repeat(None) if perfect else zip(*(
+        _uniforms(_stream(config.seed, replication, i, 0), config.horizon) for i in range(n)
+    ))
     rows, played, punishment_onset = [], None, None
 
-    for t in range(config.horizon):
+    for t, drawn in zip(range(config.horizon), uniforms):
         plan = target.cooperative if punishment_onset is None else target.punishment
         mixed = [
             config.deviations[i].act(history, t) if i in config.deviations else plan[i]
@@ -422,7 +437,7 @@ def run_episode(config: EpisodeConfig, replication: int = 0) -> Trajectory:
                 row, played = expected_utility(game, record), record.actions
             rows.append(row)
         else:
-            record = tuple(sample_action(rngs[i], mixed[i]) for i in range(n))
+            record = tuple(map(sample_action, drawn, mixed))
         history.append(record)
         if enforcement.observe(t, record) and punishment_onset is None:
             punishment_onset = t + 1

@@ -243,8 +243,7 @@ def test_acceptance_8_batch_adversary_containment():
                 ok = False
                 continue
             counts = np.bincount(dev.schedule, minlength=2)
-            _, rejected = batch_test(counts, length, coop[0], delta)
-            if rejected:
+            if batch_test(counts, length, coop[0], delta):
                 ok = False
             _, delta_l = batch_error_bounds(2, 2, length, delta, beta)
             stage = pure_action_payoffs(game, coop, 0)

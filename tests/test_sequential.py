@@ -34,7 +34,7 @@ class TestEProcess:
         state = EProcessState.fresh(0, 2)
         eprocess_update(state, 0)
         assert kernel([0], (0.5, 0.5))[-1] == pytest.approx(0.0, abs=1e-15)
-        assert state.t == 1 and state.counts.tolist() == [1, 0]
+        assert state.t == 1 and state.counts == [1, 0]
 
     def test_two_repeats_give_four_thirds(self):
         assert math.exp(kernel([0, 0], (0.5, 0.5))[-1]) == pytest.approx(4 / 3, rel=1e-12)
@@ -104,17 +104,16 @@ class TestAnytimeVerdict:
 
 class TestBatchTest:
     def test_all_one_action_distance_one(self):
-        _, verdict = batch_test([6, 0], 6, UNIFORM, 0.99)
-        assert verdict
+        assert batch_test([6, 0], 6, UNIFORM, 0.99)
 
     def test_exact_match_accepts(self):
-        _, verdict = batch_test([3, 3], 6, UNIFORM, 0.01)
-        assert not verdict
+        assert not batch_test([3, 3], 6, UNIFORM, 0.01)
 
     def test_boundary_inclusive(self):
-        empirical, verdict = batch_test([3, 1], 4, UNIFORM, 0.5)
-        assert np.allclose(empirical.probs, [0.75, 0.25])
-        assert verdict  # distance exactly 0.5 >= 0.5
+        empirical = np.array([3, 1]) / 4
+        assert np.allclose(empirical, [0.75, 0.25])
+        assert np.abs(empirical - UNIFORM.probs).sum() == 0.5
+        assert batch_test([3, 1], 4, UNIFORM, 0.5)  # distance exactly 0.5 >= 0.5
 
     def test_rejects_wrong_sum(self):
         with pytest.raises(InputError):
@@ -147,7 +146,7 @@ class TestBatchUpdate:
         verdict = batch_update(state, 0, UNIFORM, 0.5)
         assert verdict is True
         assert state.batch_index == 1
-        assert state.buffer_counts.tolist() == [0, 0]
+        assert state.buffer_counts == [0, 0]
 
     def test_fired_at_batch_records_first_rejection(self):
         state = BatchTestState.fresh(0, 2, 2)

@@ -38,12 +38,7 @@ from repgame.sequential import (
     log_e_at,
     log_e_table,
 )
-from repgame.strategies import (
-    PublicHistory,
-    anytime_ttp_act,
-    batch_ttp_act,
-    grim_trigger_act,
-)
+from repgame.strategies import PublicHistory
 from repgame.simulate import (
     _draw_actions,
     _worker_count,
@@ -51,6 +46,7 @@ from repgame.simulate import (
 )
 
 from conftest import anytime_enforcement, kernel_log_traj, stream_tau
+from reference_strategies import anytime_ttp_act, batch_ttp_act, grim_trigger_act
 
 PD = StageGame(2, (2, 2), ([[0.6, 0.0], [1.0, 0.2]], [[0.6, 1.0], [0.0, 0.2]]))
 PURE_COOP = PayoffTarget.from_profiles(
@@ -412,7 +408,7 @@ class TestStreamKernels:
         action = MixedAction(probs)
         vector = _draw_actions(np.random.default_rng(11), action.probs, 500)
         rng = np.random.default_rng(11)
-        scalar = [sample_action(rng, action) for _ in range(500)]
+        scalar = [sample_action(rng.random(), action) for _ in range(500)]
         assert vector.dtype == np.int64
         assert vector.tolist() == scalar
         assert set(scalar) == {a for a, p in enumerate(action.probs) if p > 0}
@@ -796,6 +792,38 @@ class TestChunkedStreams:
                 fired += sum(t is not None for t in taus)
                 silent += taus.count(None)
         assert fired and silent
+
+    @pytest.mark.parametrize("chunk", [7, simulate._CHUNK])
+    def test_episode_draws_cross_chunk_edges(self, monkeypatch, chunk):
+        # The episode loop takes each player's uniforms _CHUNK rounds at a
+        # time. Across two chunk edges and a ragged tail of 3 rounds, each
+        # player's column of actions equals one whole vector draw from that
+        # player's stream.
+        monkeypatch.setattr(simulate, "_CHUNK", chunk)
+        deviator = Stationary([0.3, 0.7])
+        cfg = config(enforcement="none", gamma=None, horizon=2 * chunk + 3, seed=4,
+                     deviations={1: deviator})
+        traj = run_episode(cfg, 3)
+        columns = np.array(traj.actions, dtype=np.int64).T
+        for i, probs in enumerate((MIXED_COOP.cooperative[0].probs, deviator.action.probs)):
+            whole = _draw_actions(simulate._stream(cfg.seed, 3, i, 0), probs, cfg.horizon)
+            assert columns[i].tolist() == whole.tolist()
+            assert set(whole.tolist()) == {0, 1}
+
+    def test_perfect_monitoring_builds_no_streams(self, monkeypatch):
+        built, stream = [], simulate._stream
+
+        def stream_spy(*args):
+            built.append(args)
+            return stream(*args)
+
+        monkeypatch.setattr(simulate, "_stream", stream_spy)
+        for kind in ("grim", "none"):
+            run_episode(config(target=PURE_COOP, monitoring="perfect", enforcement=kind,
+                               gamma=None, deviations={1: DefectFrom(5)}))
+        assert built == []
+        run_episode(config(horizon=5), 2)
+        assert built == [(1, 2, 0, 0), (1, 2, 1, 0)]
 
     def test_type1_memory_does_not_grow_with_horizon(self):
         # One warm replication (its log e_t table cached) keeps only chunk
